@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PreconditionError, TvlsError
-from .kernels import convergence_diagnostic, kernel_grid
+from .kernels import _grid_steps, convergence_diagnostic, kernel_grid
 from .model import CarmaModel, companion_from_carma, model_from_json
 from .simulate import simulate_paths
 from .spectral import GridConfig, spectral_density, wigner_ville, wv_convergence
@@ -74,7 +74,7 @@ def _write_json(obj, out):
         sys.stdout.write(text)
 
 
-def _emit_manifest(subcommand, params, out):
+def _emit_manifest(subcommand, params, out, resolved=None):
     argv = [subcommand]
     for key, val in params.items():
         if val is None:
@@ -92,6 +92,8 @@ def _emit_manifest(subcommand, params, out):
         "argv_resolved": argv,
         "threads": os.environ.get("TVLS_THREADS"),
     }
+    if resolved is not None:
+        manifest["resolved"] = resolved
     if out:
         Path(str(out) + ".manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -136,8 +138,17 @@ def _parse_n(text):
 def _lambda_grid(lmax, dl):
     if lmax <= 0 or dl <= 0:
         raise PreconditionError("lmax and dl must be positive")
-    n = int(round(2.0 * lmax / dl))
+    n = _grid_steps(2.0 * lmax, dl, "lambda grid")
     return -lmax + dl * np.arange(n + 1)
+
+
+def _resolved(config, **extra):
+    """The u_max and certificate a spectral run used, plus ``extra`` entries."""
+    cert = config.certificate
+    if cert is not None:
+        cert = {"route": cert.route, "gamma": float(cert.gamma), "lam": float(cert.lam),
+                "window": [float(x) for x in cert.checked_window]}
+    return {"umax": config.resolved_u_max(), "certificate": cert, **extra}
 
 
 def _auto_certificate(A, window):
@@ -166,7 +177,7 @@ def _cmd_simulate(args):
     m = _load_model(args.model)
     if args.t1 <= args.t0 or args.dt <= 0:
         raise PreconditionError("simulate: need t1 > t0 and dt > 0")
-    n = int(round((args.t1 - args.t0) / args.dt))
+    n = _grid_steps(args.t1 - args.t0, args.dt, "simulate time grid")
     t_grid = args.t0 + args.dt * np.arange(n + 1)
     burn_in = args.burn_in
     if burn_in is None:
@@ -233,7 +244,7 @@ def _cmd_spectrum(args):
     _emit_manifest("spectrum", {
         "model": args.model, "t": args.t, "lmax": args.lmax, "dl": args.dl,
         "umax": args.umax, "du": args.du, "method": args.method,
-        "out": args.out}, args.out)
+        "out": args.out}, args.out, _resolved(config, transform=spec.route))
     return 0
 
 
@@ -249,12 +260,14 @@ def _wv_config(m, args):
 def _cmd_wigner(args):
     m = _load_model(args.model)
     lam = _lambda_grid(args.lmax, args.dl)
-    wv = wigner_ville(m, args.N, args.t, lam, _wv_config(m, args))
+    config = _wv_config(m, args)
+    wv = wigner_ville(m, args.N, args.t, lam, config)
     _write_csv(zip(wv.lambda_grid, wv.values), args.out)
     _emit_manifest("wigner", {
         "model": args.model, "t": args.t, "N": args.N, "lmax": args.lmax,
         "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "method": args.method, "out": args.out}, args.out)
+        "du": args.du, "method": args.method, "out": args.out}, args.out,
+        _resolved(config, smax=config.resolved_s_max(), transform=wv.route))
     return 0
 
 
@@ -262,12 +275,14 @@ def _cmd_wvconv(args):
     m = _load_model(args.model)
     lam = _lambda_grid(args.lmax, args.dl)
     n_list = _parse_int_list(args.Ns, "Ns")
-    report = wv_convergence(m, args.t, lam, n_list, _wv_config(m, args))
+    config = _wv_config(m, args)
+    report = wv_convergence(m, args.t, lam, n_list, config)
     _write_csv(report.rows, args.out)
     _emit_manifest("wvconv", {
         "model": args.model, "t": args.t, "Ns": args.Ns, "lmax": args.lmax,
         "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "method": args.method, "out": args.out}, args.out)
+        "du": args.du, "method": args.method, "out": args.out}, args.out,
+        _resolved(config, smax=config.resolved_s_max()))
     return 0
 
 
@@ -354,7 +369,9 @@ def _cmd_control(args):
     else:
         if args.t0 is None or args.t1 is None or args.dt is None:
             raise PreconditionError("control: pass --tgrid, --t, or all of --t0/--t1/--dt")
-        n = int(round((args.t1 - args.t0) / args.dt))
+        if args.t1 < args.t0 or args.dt <= 0:
+            raise PreconditionError("control: need t1 >= t0 and dt > 0")
+        n = _grid_steps(args.t1 - args.t0, args.dt, "control time grid")
         t_grid = args.t0 + args.dt * np.arange(n + 1)
     report = instantaneous_controllability(m, t_grid)
     out_obj = {"t": [float(t) for t in report.t_grid],

@@ -42,6 +42,10 @@ __all__ = [
 
 _METHODS = ("auto", "pb", "ode", "comm")
 
+# Most points a lag, window, frequency or time grid may hold (16 MB of float64),
+# checked before the grid is allocated.
+MAX_GRID_POINTS = 2_000_000
+
 
 @dataclass
 class KernelGrid:
@@ -135,6 +139,23 @@ def _check_n(N):
     if n < 1 or n != float(N):
         raise PreconditionError(f"N must be a positive integer or 'limit', got {N!r}")
     return n
+
+
+def _check_n_list(N_list):
+    n_values = [_check_n(N) for N in N_list]
+    if not n_values or any(N == "limit" for N in n_values):
+        raise PreconditionError("N_list must hold positive integers")
+    return n_values
+
+
+def _grid_steps(extent, step, what):
+    """round(extent / step), the steps of a uniform grid, within MAX_GRID_POINTS."""
+    ratio = extent / step
+    if not ratio < MAX_GRID_POINTS:  # also catches inf and nan
+        raise PreconditionError(
+            f"{what}: {extent:g} / {step:g} exceeds the grid budget of "
+            f"{MAX_GRID_POINTS} points")
+    return int(round(ratio))
 
 
 def _auto_steps(A, s0, s):
@@ -276,7 +297,7 @@ def kernel_grid(m, N, t, u_max=None, du=0.005, transition_method="auto", certifi
         u_max = certificate.default_u_max()
     if u_max <= 0 or du <= 0:
         raise PreconditionError("u_max and du must be positive")
-    n = max(2, int(round(u_max / du)))
+    n = max(2, _grid_steps(u_max, du, "kernel_grid"))
     u_grid = np.arange(n + 1) * du
     if N == "limit":
         values = _limit_grid_values(m, t, u_grid)
@@ -320,9 +341,7 @@ def convergence_diagnostic(m, t, N_list, u_max, du=0.005, transition_method="aut
     """
     from .stability import eigen_bound_check, lambda_max_check
 
-    n_values = [_check_n(N) for N in N_list]
-    if not n_values or any(N == "limit" for N in n_values):
-        raise PreconditionError("N_list must hold positive integers")
+    n_values = _check_n_list(N_list)
     window = (t - u_max / min(n_values), t)
     cert = lambda_max_check(m.A, window)
     if cert.passed:

@@ -1,9 +1,11 @@
 """Frequency-domain objects: transfer functions, spectra, covariances.
 
 The transfer function of a lag kernel g(t, .) is its Fourier transform
-A(t, mu) = int e^{-i mu u} g(t, u) du, evaluated here by direct trapezoid
+A(t, mu) = int e^{-i mu u} g(t, u) du, evaluated here by trapezoid
 quadrature on the kernel grid (no FFT pairing constraints between the lag
-and frequency grids).  The limiting spectral density is
+and frequency grids).  The quadrature sum is computed by Bluestein's
+chirp-z transform when both grids are uniform and by a dense sum
+otherwise.  The limiting spectral density is
 
     f(t, mu) = sigma_L / (2 pi) |A(t, mu)|^2,
 
@@ -23,7 +25,7 @@ from .errors import (
     SmoothnessError,
     TruncationWarning,
 )
-from .kernels import kernel_grid
+from .kernels import _check_n, _check_n_list, _grid_steps, kernel_grid
 from .model import sup_norm
 
 __all__ = [
@@ -78,6 +80,7 @@ class SpectrumGrid:
     values: np.ndarray
     kind: str  # "spectral_density" or "wigner_ville"
     N: object = None
+    route: str = None  # Fourier-sum route: "chirp_z" or "dense"
 
     def symmetry_defect(self):
         """Max |f(mu) - f(-mu)| when the grid itself is symmetric."""
@@ -102,8 +105,98 @@ class WvConvergenceReport:
         return [d for _, d in self.rows]
 
 
+# A grid is uniform when it deviates from x_0 + k dx by rounding only.
+_UNIFORM_RTOL = 1e-12
+# The chirp-z postcondition: spot values agree with the dense sum to this
+# fraction of max |result|.
+_CHIRP_CHECK_RTOL = 1e-9
+
+
+def _trapezoid_weights(n, h):
+    weights = np.full(n, h)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return weights
+
+
+def _uniform_step(grid):
+    """Step dx when the flat grid is x_0 + k dx for k = 0..n-1, else None."""
+    if grid.size < 2 or not np.isfinite(grid).all():
+        return None
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    ideal = grid[0] + step * np.arange(grid.size)
+    if np.abs(grid - ideal).max() > _UNIFORM_RTOL * np.abs(grid).max():
+        return None
+    return step
+
+
+def _fourier_route(x_grid, lambda_grid):
+    """The route `_fourier_sum` takes on these grids."""
+    if _uniform_step(x_grid) is None or _uniform_step(np.ravel(lambda_grid)) is None:
+        return "dense"
+    return "chirp_z"
+
+
+def _dense_fourier_sum(x_grid, weighted, lambda_grid):
+    """sum_n weighted_n e^{-i mu x_n} by chunked dense exponentials."""
+    flat = lambda_grid.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    chunk = max(1, 2_000_000 // max(1, len(x_grid)))
+    for i in range(0, len(flat), chunk):
+        block = flat[i:i + chunk]
+        out[i:i + chunk] = np.exp(-1j * np.outer(block, x_grid)) @ weighted
+    return out.reshape(lambda_grid.shape)
+
+
+def _chirp_fourier_sum(x_grid, weighted, mu):
+    """Bluestein's chirp-z form of the same sum on uniform grids.
+
+    With x_n = x_0 + n dx, mu_k = mu_0 + k dmu and alpha = dmu dx, the
+    identity kn = (k^2 + n^2 - (k - n)^2) / 2 turns the sum into
+    e^{-i mu_k x_0} e^{-i alpha k^2/2} sum_n y_n e^{i alpha (k - n)^2 / 2}
+    with y_n = weighted_n e^{-i (mu_0 dx n + alpha n^2 / 2)}, a linear
+    convolution done with three FFTs.
+    """
+    n_x, n_mu = len(x_grid), len(mu)
+    dx, dmu = _uniform_step(x_grid), _uniform_step(mu)
+    alpha = dmu * dx
+    size = 1 << (n_x + n_mu - 2).bit_length()
+    n = np.arange(n_x, dtype=float)
+    y = np.zeros(size, dtype=complex)
+    y[:n_x] = weighted * np.exp(-1j * (mu[0] * dx * n + 0.5 * alpha * n**2))
+    lags = np.arange(size, dtype=float)
+    lags[n_mu:] -= size  # slots n_mu..size-1 hold the negative differences k - n
+    chirp = np.exp(0.5j * alpha * lags**2)
+    conv = np.fft.ifft(np.fft.fft(y) * np.fft.fft(chirp))[:n_mu]
+    k = np.arange(n_mu, dtype=float)
+    return np.exp(-1j * (mu * x_grid[0] + 0.5 * alpha * k**2)) * conv
+
+
+def _fourier_sum(x_grid, weighted, lambda_grid):
+    """sum_n weighted_n e^{-i mu x_n} for every mu in ``lambda_grid``.
+
+    Uniform grids with at least two points each take the chirp-z route,
+    spot-checked against the dense sum at the first, middle and last
+    frequency (its phase rounding grows with dmu dx (n_mu^2 + n_x^2));
+    any other grid takes the dense route.  N-D frequency grids are
+    flattened and the result reshaped.
+    """
+    if _fourier_route(x_grid, lambda_grid) == "dense":
+        return _dense_fourier_sum(x_grid, weighted, lambda_grid)
+    mu = lambda_grid.ravel()
+    out = _chirp_fourier_sum(x_grid, weighted, mu)
+    spots = np.array([0, len(mu) // 2, len(mu) - 1])
+    gap = np.abs(out[spots] - _dense_fourier_sum(x_grid, weighted, mu[spots])).max()
+    scale = np.abs(out).max()
+    if gap > _CHIRP_CHECK_RTOL * scale:
+        raise PostconditionError(
+            f"chirp-z transform differs from the dense sum by {gap:.3e} "
+            f"(max |result| {scale:.3e})")
+    return out.reshape(lambda_grid.shape)
+
+
 def transfer_function(kern, lambda_grid):
-    """Fourier transform of a kernel grid by direct trapezoid quadrature.
+    """Fourier transform of a kernel grid by trapezoid quadrature.
 
     Returns complex values A(mu) = int_0^{u_max} e^{-i mu u} g(u) du on
     the supplied frequency grid.
@@ -112,19 +205,7 @@ def transfer_function(kern, lambda_grid):
     u = kern.u_grid
     if u[0] != 0.0:
         raise PreconditionError("transfer_function expects a causal grid starting at lag 0")
-    weights = np.full(len(u), kern.du)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    wg = weights * kern.values
-    out = np.empty(lam.shape, dtype=complex)
-    chunk = max(1, 2_000_000 // max(1, len(u)))
-    flat = lam.ravel()
-    res = np.empty(flat.shape, dtype=complex)
-    for i in range(0, len(flat), chunk):
-        block = flat[i:i + chunk]
-        res[i:i + chunk] = np.exp(-1j * np.outer(block, u)) @ wg
-    out[...] = res.reshape(lam.shape)
-    return out
+    return _fourier_sum(u, _trapezoid_weights(len(u), kern.du) * kern.values, lam)
 
 
 def spectral_density(m, t, lambda_grid, config=None):
@@ -132,10 +213,11 @@ def spectral_density(m, t, lambda_grid, config=None):
     config = config or GridConfig()
     kern = kernel_grid(m, "limit", t, config.resolved_u_max(), config.du,
                        config.transition_method, certificate=config.certificate)
-    tf = transfer_function(kern, lambda_grid)
+    lam = np.asarray(lambda_grid, dtype=float)
+    tf = transfer_function(kern, lam)
     vals = m.levy.sigma_l / (2.0 * np.pi) * (tf.real**2 + tf.imag**2)
-    return SpectrumGrid(t=float(t), lambda_grid=np.asarray(lambda_grid, dtype=float),
-                        values=vals, kind="spectral_density")
+    return SpectrumGrid(t=float(t), lambda_grid=lam, values=vals, kind="spectral_density",
+                        route=_fourier_route(kern.u_grid, lam))
 
 
 def covariance(m, N, t1, t2, config=None):
@@ -172,11 +254,16 @@ def wigner_ville(m, N, t, lambda_grid, config=None):
     has decayed; the imaginary part of the transform must vanish and is
     checked before being discarded.
     """
+    N = _check_n(N)
+    if N == "limit":
+        raise PreconditionError("wigner_ville needs a positive integer N")
     config = config or GridConfig()
     lam = np.asarray(lambda_grid, dtype=float)
     s_max = config.resolved_s_max()
     ds = config.ds
-    n_s = max(2, int(round(s_max / ds)))
+    if s_max <= 0 or ds <= 0:
+        raise PreconditionError("s_max and ds must be positive")
+    n_s = max(2, _grid_steps(s_max, ds, "covariance window"))
     s_grid = np.arange(n_s + 1) * ds
     c_vals = np.empty(n_s + 1)
     half = 0.5 / N
@@ -189,21 +276,13 @@ def wigner_ville(m, N, t, lambda_grid, config=None):
             TruncationWarning)
     s_full = np.concatenate([-s_grid[:0:-1], s_grid])
     c_full = np.concatenate([c_vals[:0:-1], c_vals])
-    weights = np.full(len(s_full), ds)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    wc = weights * c_full
-    vals = np.empty(lam.shape, dtype=complex)
-    chunk = max(1, 2_000_000 // max(1, len(s_full)))
-    for i in range(0, len(lam), chunk):
-        block = lam[i:i + chunk]
-        vals[i:i + chunk] = np.exp(-1j * np.outer(block, s_full)) @ wc
+    vals = _fourier_sum(s_full, _trapezoid_weights(len(s_full), ds) * c_full, lam)
     vals /= 2.0 * np.pi
     scale = np.abs(vals.real).max()
     if np.abs(vals.imag).max() > 1e-8 * max(scale, 1e-300):
         raise PostconditionError("time-frequency transform has a non-vanishing imaginary part")
     return SpectrumGrid(t=float(t), lambda_grid=lam, values=vals.real,
-                        kind="wigner_ville", N=N)
+                        kind="wigner_ville", N=N, route=_fourier_route(s_full, lam))
 
 
 def _spectrum_l2(grid_a, grid_b):
@@ -227,8 +306,9 @@ def wv_convergence(m, t, lambda_grid, N_list, config=None):
     """
     from .stability import eigen_bound_check, lambda_max_check
 
+    n_values = _check_n_list(N_list)
     config = config or GridConfig()
-    n_min = min(int(N) for N in N_list)
+    n_min = min(n_values)
     s_max = config.resolved_s_max()
     u_max = config.resolved_u_max()
     window = (t - (s_max / 2.0 + s_max + u_max) / n_min, t + s_max / (2.0 * n_min))
@@ -249,9 +329,9 @@ def wv_convergence(m, t, lambda_grid, N_list, config=None):
         conditions = "unverified-preconditions"
     limit = spectral_density(m, t, lambda_grid, config)
     rows = []
-    for N in N_list:
-        wv = wigner_ville(m, int(N), t, lambda_grid, config)
-        rows.append((int(N), _spectrum_l2(wv, limit)))
+    for N in n_values:
+        wv = wigner_ville(m, N, t, lambda_grid, config)
+        rows.append((N, _spectrum_l2(wv, limit)))
     dists = [d for _, d in rows]
     tail_ok = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(1, len(dists) - 1))
     passes = bool(len(dists) >= 2 and tail_ok and dists[-1] < 0.1 * dists[0])

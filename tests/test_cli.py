@@ -116,6 +116,64 @@ def test_spectrum_stdout_with_stderr_manifest(capsys, car1_file):
     assert manifest_line["manifest"]["subcommand"] == "spectrum"
 
 
+def test_spectrum_manifest_resolved_block_is_deterministic(tmp_path, car1_file):
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", "--model", car1_file, "--t", "0.5",
+            "--lmax", "3", "--dl", "0.05", "--out", str(out)]
+    manifest_path = tmp_path / "spec.csv.manifest.json"
+    assert dispatch(argv) == 0
+    first = manifest_path.read_bytes()
+    assert dispatch(argv) == 0
+    assert manifest_path.read_bytes() == first
+    manifest = json.loads(first)
+    assert manifest["parameters"]["umax"] is None  # derived, not passed
+    resolved = manifest["resolved"]
+    cert = resolved["certificate"]
+    assert cert["route"] == "lambda_max"
+    assert cert["gamma"] == 1.0 and cert["lam"] == 1.0
+    assert cert["window"] == [-0.5, 0.5]
+    # the derived lag horizon is the certificate's default
+    assert resolved["umax"] == lambda_max_check(
+        model_from_json(CAR1).A, (-0.5, 0.5)).default_u_max()
+    assert resolved["transform"] == "chirp_z"
+
+
+def test_spectrum_manifest_records_explicit_umax(tmp_path, car1_file, capsys):
+    code = dispatch(["spectrum", "--model", car1_file, "--t", "0",
+                     "--lmax", "1", "--dl", "0.5", "--umax", "12"])
+    assert code == 0
+    resolved = json.loads(capsys.readouterr().err.strip())["manifest"]["resolved"]
+    assert resolved == {"umax": 12.0, "certificate": None, "transform": "chirp_z"}
+
+
+def test_spectrum_grid_budget_exits_2(car1_file, capsys):
+    # 1e12 lags would need 7 TiB; the budget refuses before allocating.
+    code = dispatch(["spectrum", "--model", car1_file, "--t", "0",
+                     "--lmax", "1", "--dl", "0.5", "--umax", "1e3", "--du", "1e-9"])
+    assert code == 2
+    code = dispatch(["spectrum", "--model", car1_file, "--t", "0",
+                     "--lmax", "1e3", "--dl", "1e-9", "--umax", "2"])
+    assert code == 2
+
+
+def test_wigner_zero_n_exits_2(car1_file, capsys):
+    code = dispatch(["wigner", "--model", car1_file, "--N", "0", "--t", "0",
+                     "--lmax", "1", "--dl", "0.5", "--umax", "4", "--smax", "4"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "PreconditionError"
+    assert "N" in err["error"]
+
+
+def test_wvconv_zero_n_exits_2(tvcar1_file, capsys):
+    code = dispatch(["wvconv", "--model", tvcar1_file, "--t", "0", "--Ns", "0,4",
+                     "--lmax", "1", "--dl", "0.5", "--umax", "4", "--smax", "4"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "PreconditionError"
+    assert "N" in err["error"]
+
+
 def test_stability_route_shorthand_on_unstable_model(tmp_path, capsys):
     path = write_model(tmp_path, "unstable.json", UNSTABLE)
     code = dispatch(["stability", "--model", path, "--window", "0,1",
@@ -285,6 +343,17 @@ def test_control_requires_some_time_spec(diag_file, capsys):
     assert "tgrid" in err["error"]
 
 
+def test_control_bad_time_range_exits_2(diag_file, capsys):
+    # dt = 0 used to divide by zero; t1 < t0 used to report an empty grid
+    # as full rank.
+    for t0, t1, dt in [("0", "1", "0"), ("1", "0", "0.1")]:
+        code = dispatch(["control", "--model", diag_file, "--t0", t0, "--t1", t1,
+                         "--dt", dt])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "PreconditionError"
+
+
 def test_equiv_accepts_model1_alias(tmp_path, diag_file, capsys):
     carma_path = write_model(tmp_path, "carma.json", CARMA21)
     code = dispatch(["equiv", "--model1", diag_file,
@@ -312,6 +381,9 @@ def test_wigner_rows_match_constant_density(tmp_path, car1_file):
                          "--t", "0", "--lmax", "2", "--dl", "0.5",
                          "--umax", "8", "--smax", "8", "--out", str(out)])
     assert code == 0
+    resolved = json.loads((tmp_path / "wv.csv.manifest.json").read_text())["resolved"]
+    assert resolved == {"umax": 8.0, "smax": 8.0, "certificate": None,
+                        "transform": "chirp_z"}
     lines = out.read_text().splitlines()
     assert len(lines) == 9
     mid = lines[4].split(",")

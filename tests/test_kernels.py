@@ -192,6 +192,12 @@ def test_kernel_grid_validation(diag_fixture):
         kernel_grid(diag_fixture, 1, 0.0, u_max=1.0, transition_method="nope")
 
 
+def test_kernel_grid_budget_checked_before_allocation(car1):
+    for u_max, du in [(1e3, 1e-9), (float("inf"), 0.01), (float("nan"), 0.01)]:
+        with pytest.raises(PreconditionError):
+            kernel_grid(car1, "limit", 0.0, u_max=u_max, du=du)
+
+
 def test_l2_mass_and_norm():
     u = np.arange(0, 201) * 0.01
     vals = np.exp(-u)
