@@ -21,7 +21,6 @@ from .errors import (
 )
 from .levy import (
     LevyModel,
-    variance,
     characteristic_exponent,
     sample_increments,
     refine_increments,
@@ -39,8 +38,6 @@ from .model import (
     StateSpaceModel,
     CarmaModel,
     companion_from_carma,
-    evaluate,
-    derivative,
     scalar_from_json,
     model_from_json,
 )
@@ -51,7 +48,6 @@ from .transition import (
     commutative_transition,
     check_commutativity,
     matrix_exp,
-    expm_2x2,
 )
 from .kernels import (
     KernelGrid,

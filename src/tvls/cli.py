@@ -5,7 +5,9 @@ round-trip bit-for-bit); reports go to JSON.  Every run emits a manifest
 echoing the resolved parameters, library version, and seed: next to the
 output file as ``<out>.manifest.json`` when ``--out`` is given, otherwise
 as a single ``{"manifest": ...}`` line on stderr.  Re-running the argv
-recorded in a manifest reproduces the output byte for byte.
+recorded in a manifest reproduces the output byte for byte.  Truncation and
+tail-mass warnings are listed in the manifest's ``warnings`` entry instead of
+being printed.
 
 Exit codes: 0 on success, 2 when inputs fail a precondition (a JSON object
 naming the problem is printed to stderr), 1 on internal errors.
@@ -15,12 +17,13 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import PreconditionError, TvlsError
+from .errors import PreconditionError, TailMassWarning, TruncationWarning, TvlsError
 from .kernels import _grid_steps, convergence_diagnostic, kernel_grid
 from .model import CarmaModel, companion_from_carma, model_from_json
 from .simulate import simulate_paths
@@ -41,6 +44,8 @@ from .transition import (
 
 __all__ = ["main", "dispatch"]
 
+_RECORDED_WARNINGS = (TruncationWarning, TailMassWarning)
+
 
 class _CliParser(argparse.ArgumentParser):
     """Argument parser whose usage errors are machine-readable JSON."""
@@ -58,8 +63,31 @@ def _fmt(v):
     return "%.17g" % float(v)
 
 
+def _spec(tp):
+    """The %-format of a value type, as ``_fmt`` renders it; None for booleans and others."""
+    if issubclass(tp, (bool, np.bool_)):
+        return None
+    if issubclass(tp, (int, np.integer)):
+        return "%d"
+    if issubclass(tp, (float, np.floating)):
+        return "%.17g"
+    return None
+
+
 def _write_csv(rows, out):
-    text = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    # One %-template per row layout formats a whole row at once; rows holding
+    # booleans (or other types) go through _fmt value by value.
+    templates = {}
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        key = tuple(map(type, row))
+        if key not in templates:
+            specs = [_spec(tp) for tp in key]
+            templates[key] = None if None in specs else ",".join(specs) + "\n"
+        template = templates[key]
+        lines.append(template % row if template else ",".join(map(_fmt, row)) + "\n")
+    text = "".join(lines)
     if out:
         Path(out).write_text(text)
     else:
@@ -74,7 +102,7 @@ def _write_json(obj, out):
         sys.stdout.write(text)
 
 
-def _emit_manifest(subcommand, params, out, resolved=None):
+def _emit_manifest(subcommand, params, out, resolved, warned):
     argv = [subcommand]
     for key, val in params.items():
         if val is None:
@@ -91,6 +119,7 @@ def _emit_manifest(subcommand, params, out, resolved=None):
         "parameters": params,
         "argv_resolved": argv,
         "threads": os.environ.get("TVLS_THREADS"),
+        "warnings": warned,
     }
     if resolved is not None:
         manifest["resolved"] = resolved
@@ -194,11 +223,10 @@ def _cmd_simulate(args):
         for k, t in enumerate(ens.t_grid):
             rows.append([i, t, *ens.states[i, k], ens.observations[i, k]])
     _write_csv(rows, args.out)
-    _emit_manifest("simulate", {
+    return {
         "model": args.model, "N": args.N, "t0": args.t0, "t1": args.t1,
         "dt": args.dt, "paths": args.paths, "seed": args.seed,
-        "burn_in": float(burn_in), "out": args.out}, args.out)
-    return 0
+        "burn_in": float(burn_in), "out": args.out}, None
 
 
 def _cmd_kernel(args):
@@ -211,10 +239,9 @@ def _cmd_kernel(args):
     grid = kernel_grid(m, n, args.t, u_max=umax, du=args.du,
                        transition_method=args.method)
     _write_csv(zip(grid.u_grid, grid.values), args.out)
-    _emit_manifest("kernel", {
+    return {
         "model": args.model, "t": args.t, "N": args.N, "umax": float(umax),
-        "du": args.du, "method": args.method, "out": args.out}, args.out)
-    return 0
+        "du": args.du, "method": args.method, "out": args.out}, None
 
 
 def _cmd_converge(args):
@@ -227,10 +254,9 @@ def _cmd_converge(args):
     report = convergence_diagnostic(m, args.t, n_list, umax, du=args.du,
                                     transition_method=args.method)
     _write_csv(report.rows, args.out)
-    _emit_manifest("converge", {
+    return {
         "model": args.model, "t": args.t, "Ns": args.Ns, "umax": float(umax),
-        "du": args.du, "method": args.method, "out": args.out}, args.out)
-    return 0
+        "du": args.du, "method": args.method, "out": args.out}, None
 
 
 def _cmd_spectrum(args):
@@ -241,11 +267,11 @@ def _cmd_spectrum(args):
         config.certificate = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
     spec = spectral_density(m, args.t, lam, config)
     _write_csv(zip(spec.lambda_grid, spec.values), args.out)
-    _emit_manifest("spectrum", {
+    resolved = _resolved(config, transform=spec.route)
+    return {
         "model": args.model, "t": args.t, "lmax": args.lmax, "dl": args.dl,
         "umax": args.umax, "du": args.du, "method": args.method,
-        "out": args.out}, args.out, _resolved(config, transform=spec.route))
-    return 0
+        "out": args.out}, resolved
 
 
 def _wv_config(m, args):
@@ -263,12 +289,11 @@ def _cmd_wigner(args):
     config = _wv_config(m, args)
     wv = wigner_ville(m, args.N, args.t, lam, config)
     _write_csv(zip(wv.lambda_grid, wv.values), args.out)
-    _emit_manifest("wigner", {
+    resolved = _resolved(config, smax=config.resolved_s_max(), transform=wv.route)
+    return {
         "model": args.model, "t": args.t, "N": args.N, "lmax": args.lmax,
         "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "method": args.method, "out": args.out}, args.out,
-        _resolved(config, smax=config.resolved_s_max(), transform=wv.route))
-    return 0
+        "du": args.du, "method": args.method, "out": args.out}, resolved
 
 
 def _cmd_wvconv(args):
@@ -278,12 +303,11 @@ def _cmd_wvconv(args):
     config = _wv_config(m, args)
     report = wv_convergence(m, args.t, lam, n_list, config)
     _write_csv(report.rows, args.out)
-    _emit_manifest("wvconv", {
+    resolved = _resolved(config, smax=config.resolved_s_max())
+    return {
         "model": args.model, "t": args.t, "Ns": args.Ns, "lmax": args.lmax,
         "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "method": args.method, "out": args.out}, args.out,
-        _resolved(config, smax=config.resolved_s_max()))
-    return 0
+        "du": args.du, "method": args.method, "out": args.out}, resolved
 
 
 def _cmd_transition(args):
@@ -308,10 +332,9 @@ def _cmd_transition(args):
         "terms_or_steps": int(res.terms_or_steps),
     }
     _write_json(out_obj, args.out)
-    _emit_manifest("transition", {
+    return {
         "model": args.model, "s0": args.s0, "s": args.s, "method": args.method,
-        "tol": args.tol, "steps": args.steps, "out": args.out}, args.out)
-    return 0
+        "tol": args.tol, "steps": args.steps, "out": args.out}, None
 
 
 def _cmd_stability(args):
@@ -347,10 +370,9 @@ def _cmd_stability(args):
                    "window": [lo, hi], "hint": result.hint,
                    "sup_lambda_max": result.sup_lambda_max}
     _write_json(out_obj, args.out)
-    _emit_manifest("stability", {
+    return {
         "model": args.model, "window": args.window, "route": route,
-        "out": args.out}, args.out)
-    return 0
+        "out": args.out}, None
 
 
 def _cmd_control(args):
@@ -380,10 +402,9 @@ def _cmd_control(args):
                "full_rank": report.full_rank,
                "p": m.p}
     _write_json(out_obj, args.out)
-    _emit_manifest("control", {
+    return {
         "model": args.model, "tgrid": args.tgrid, "t": args.t, "t0": args.t0,
-        "t1": args.t1, "dt": args.dt, "out": args.out}, args.out)
-    return 0
+        "t1": args.t1, "dt": args.dt, "out": args.out}, None
 
 
 def _cmd_equiv(args):
@@ -397,10 +418,9 @@ def _cmd_equiv(args):
                "n_used": report.n_used, "n_skipped": report.n_skipped,
                "note": report.note}
     _write_json(out_obj, args.out)
-    _emit_manifest("equiv", {
+    return {
         "model": args.model, "model2": args.model2, "t": args.t,
-        "out": args.out}, args.out)
-    return 0
+        "out": args.out}, None
 
 
 def _build_parser():
@@ -498,15 +518,41 @@ def _build_parser():
     return parser
 
 
+def _manifest_warnings(caught):
+    """Distinct tvls warnings, in order of first occurrence, for the manifest.
+
+    Warnings of any other category are shown as they would have been.
+    """
+    warned = []
+    for w in caught:
+        if issubclass(w.category, _RECORDED_WARNINGS):
+            entry = {"category": w.category.__name__, "message": str(w.message)}
+            if entry not in warned:
+                warned.append(entry)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return warned
+
+
 def dispatch(argv):
-    """Run one CLI invocation; returns the process exit code."""
+    """Run one CLI invocation; returns the process exit code.
+
+    Each subcommand returns its manifest parameters and resolved block; the
+    manifest is written once the command has finished, with the truncation
+    and tail-mass warnings it raised, so stderr carries JSON lines only.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings(record=True) as caught:
+            for category in _RECORDED_WARNINGS:
+                warnings.simplefilter("always", category)
+            params, resolved = args.fn(args)
+        _emit_manifest(args.subcommand, params, args.out, resolved, _manifest_warnings(caught))
+        return 0
     except PreconditionError as exc:
         sys.stderr.write(json.dumps(
             {"error": str(exc), "type": type(exc).__name__}) + "\n")

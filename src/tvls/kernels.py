@@ -22,6 +22,7 @@ from .errors import GridMismatchError, PreconditionError, SmoothnessError, TailM
 from .model import sup_norm
 from .quadrature import composite_simpson, cumulative_simpson
 from .transition import (
+    _rk4_panels,
     check_commutativity,
     commutative_transition,
     matrix_exp,
@@ -244,38 +245,30 @@ def _finite_grid_values(m, N, t, u_grid, transition_method):
         if m.p == 1:
             rows = np.exp(cum[:, 0, 0])[:, None] * bt[None, :]
         else:
-            rows = np.stack([bt @ matrix_exp(cum[j]) for j in range(len(u_grid))])
+            rows = bt @ matrix_exp(cum)
         return np.einsum("ji,ji->j", rows, c_vals)
     # Panel-accumulated route: row vector r_j = B(t)' Psi(0, -u_j) advances
-    # one panel at a time via r_{j+1} = r_j Phi_j with Phi_j the RK4
-    # transition over s in [-u_{j+1}, -u_j].
+    # one panel at a time via r_{j+1} = r_j Phi_j with Phi_j the transition
+    # over s in [-u_{j+1}, -u_j].
     n_panels = len(u_grid) - 1
-    norm = max(1.0, sup_norm(shifted, -u_grid[-1], 0.0))
-    n_sub = max(1, int(np.ceil(du * norm / 0.05)))
-    h = du / n_sub
-    stage = np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1)
-    a_stage = shifted.eval_array(stage)
+    if method == "pb":
+        phis = [peano_baker(shifted, -u_grid[j + 1], -u_grid[j], tol=1e-12).value
+                for j in range(n_panels)]
+    else:
+        norm = max(1.0, sup_norm(shifted, -u_grid[-1], 0.0))
+        n_sub = max(1, int(np.ceil(du * norm / 0.05)))
+        stage = np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1)
+        a_stage = shifted.eval_array(stage)
+        # Panel i of the stage grid spans nodes 2 n_sub i .. 2 n_sub (i + 1);
+        # it is lag panel n_panels - 1 - i, hence the reversal.
+        panels = np.lib.stride_tricks.sliding_window_view(
+            a_stage, 2 * n_sub + 1, axis=0)[::2 * n_sub]
+        phis = _rk4_panels(np.moveaxis(panels, -1, 1), du / n_sub)[::-1]
     values = np.empty(len(u_grid))
     row = bt.astype(float).copy()
     values[0] = row @ c_vals[0]
-    use_pb = method == "pb"
     for j in range(n_panels):
-        base = (n_panels - 1 - j) * 2 * n_sub
-        if use_pb:
-            phi = peano_baker(shifted, -u_grid[j + 1], -u_grid[j], tol=1e-12).value
-            row = row @ phi
-        else:
-            phi = np.eye(m.p)
-            for k in range(n_sub):
-                a0 = a_stage[base + 2 * k]
-                am = a_stage[base + 2 * k + 1]
-                a1 = a_stage[base + 2 * k + 2]
-                k1 = a0 @ phi
-                k2 = am @ (phi + 0.5 * h * k1)
-                k3 = am @ (phi + 0.5 * h * k2)
-                k4 = a1 @ (phi + h * k3)
-                phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            row = row @ phi
+        row = row @ phis[j]
         values[j + 1] = row @ c_vals[j + 1]
     return values
 

@@ -16,7 +16,6 @@ from .quadrature import composite_simpson
 
 __all__ = [
     "LevyModel",
-    "variance",
     "characteristic_exponent",
     "sample_increments",
     "refine_increments",
@@ -80,11 +79,6 @@ class LevyModel:
             float(obj.get("jump_intensity", 0.0)),
             float(obj.get("jump_std", 0.0)),
         )
-
-
-def variance(model):
-    """Variance of the unit-time increment L(1)."""
-    return model.sigma_l
 
 
 def characteristic_exponent(model, z):

@@ -38,8 +38,6 @@ __all__ = [
     "StateSpaceModel",
     "CarmaModel",
     "companion_from_carma",
-    "evaluate",
-    "derivative",
     "model_from_json",
     "sup_norm",
 ]
@@ -554,20 +552,6 @@ class _ShiftedMatrixFunction:
 
     def reparametrized(self, offset, rate):
         return _ShiftedMatrixFunction(self.base, self.offset + self.rate * offset, self.rate * rate)
-
-
-def evaluate(matrix, t):
-    """Evaluate a MatrixFunction at time t as a float ndarray."""
-    return matrix.eval(t)
-
-
-def derivative(matrix, t):
-    """Entrywise first derivative of a MatrixFunction at time t.
-
-    Analytic families differentiate exactly; callbacks fall back to
-    central differences; the step family is rejected at its break.
-    """
-    return matrix.deriv(t, 1)
 
 
 def sup_norm(matrix, lo, hi, samples=33):

@@ -142,12 +142,9 @@ def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
     n_steps = len(mids)
     n_grid = len(t_grid)
 
-    prop = np.empty((n_steps, p, p))
-    noise_vec = np.empty((n_steps, p))
-    for j in range(n_steps):
-        half = matrix_exp(m.A.eval(mids[j]) * (0.5 * widths[j]))
-        prop[j] = half @ half
-        noise_vec[j] = half @ m.C.eval(mids[j]).reshape(p)
+    half = matrix_exp(m.A.eval_array(mids) * (0.5 * widths)[:, None, None])
+    prop = half @ half
+    noise_vec = (half @ m.C.eval_array(mids))[:, :, 0]
     b_vecs = [m.B.eval(t).reshape(p) for t in t_grid]
 
     sigma, rate, std = levy.brownian_variance, levy.jump_intensity, levy.jump_std

@@ -30,7 +30,6 @@ __all__ = [
     "commutative_transition",
     "check_commutativity",
     "matrix_exp",
-    "expm_2x2",
 ]
 
 
@@ -66,17 +65,15 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-def matrix_exp(D):
-    """Matrix exponential by scaling-and-squaring with a degree-13 Pade step."""
-    D = np.asarray(D)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise PreconditionError("matrix_exp expects a square matrix")
-    n = D.shape[0]
-    norm = float(np.abs(D).sum(axis=0).max()) if n else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0)
+def _squarings(norm):
+    return max(0, int(math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0)
+
+
+def _pade_exp(D, squarings):
+    """Pade-13 exponential of a stack of matrices sharing one squaring count."""
     A = D / (2.0**squarings)
     b = _PADE13
-    ident = np.eye(n, dtype=A.dtype)
+    ident = np.eye(A.shape[-1], dtype=A.dtype)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
@@ -90,30 +87,25 @@ def matrix_exp(D):
     return R
 
 
-def expm_2x2(D):
-    """Closed-form exponential of a 2x2 matrix via its eigenvalues.
+def matrix_exp(D):
+    """Matrix exponential by scaling-and-squaring with a degree-13 Pade step.
 
-    With eigenvalues lam != mu the exponential is
-    (mu e^lam - lam e^mu)/(mu - lam) I + (e^mu - e^lam)/(mu - lam) D;
-    nearly confluent eigenvalues use the limit e^lam ((1 - lam) I + D).
+    ``D`` may be one square matrix or a stack of shape (..., p, p).  Stacked
+    matrices are grouped by their squaring count, so each one gets the same
+    arithmetic as a call on it alone.
     """
     D = np.asarray(D)
-    if D.shape != (2, 2):
-        raise PreconditionError("expm_2x2 expects a 2x2 matrix")
-    tr = D[0, 0] + D[1, 1]
-    det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
-    disc = np.lib.scimath.sqrt(0.25 * tr * tr - det)
-    lam = 0.5 * tr + disc
-    mu = 0.5 * tr - disc
-    ident = np.eye(2)
-    if abs(mu - lam) < 1e-8 * (1.0 + abs(lam)):
-        out = np.exp(lam) * ((1.0 - lam) * ident + D)
-    else:
-        elam, emu = np.exp(lam), np.exp(mu)
-        out = ((mu * elam - lam * emu) * ident + (emu - elam) * D) / (mu - lam)
-    if not np.iscomplexobj(D) and np.abs(out.imag).max() < 1e-12 * (1.0 + np.abs(out.real).max()):
-        out = out.real
-    return out
+    if D.ndim < 2 or D.shape[-1] != D.shape[-2]:
+        raise PreconditionError("matrix_exp expects a square matrix or a stack of them")
+    n = D.shape[-1]
+    stack = D.reshape((math.prod(D.shape[:-2]), n, n))
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1) if n else np.zeros(len(stack))
+    squarings = np.array([_squarings(float(x)) for x in norms], dtype=int)
+    out = np.empty(stack.shape, dtype=np.result_type(stack, 1.0))
+    for s in np.unique(squarings):
+        sel = squarings == s
+        out[sel] = _pade_exp(stack[sel], int(s))
+    return out.reshape(D.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +186,52 @@ def peano_baker(A, s0, s, tol=1e-12, max_terms=64):
 # ---------------------------------------------------------------------------
 # Runge-Kutta integration
 
+def _rk4_panels(a_stage, h):
+    """Classical RK4 propagators of many panels at once.
+
+    ``a_stage`` holds the coefficient at the 2 n_sub + 1 stage points of each
+    panel, shape (n_panels, 2 n_sub + 1, p, p): node, midpoint, node, ...
+    ``h`` is the step width, a scalar or one value per panel.  Returns the
+    (n_panels, p, p) transition matrices over the panels, each advanced from
+    the identity by n_sub steps.
+    """
+    n_panels, n_nodes, p, _ = a_stage.shape
+    h = np.asarray(h, dtype=float)
+    if h.ndim:
+        h = h[:, None, None]
+    phi = np.broadcast_to(np.eye(p), (n_panels, p, p))
+    for k in range((n_nodes - 1) // 2):
+        a0, am, a1 = a_stage[:, 2 * k], a_stage[:, 2 * k + 1], a_stage[:, 2 * k + 2]
+        k1 = a0 @ phi
+        k2 = am @ (phi + 0.5 * h * k1)
+        k3 = am @ (phi + 0.5 * h * k2)
+        k4 = a1 @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return phi
+
+
 def _rk4_run(A, s0, s, steps):
-    breaks = set(A.breakpoints)
-    pieces = split_interval(s0, s, breaks)
+    """RK4 transition over [s0, s] as the ordered product of its step matrices.
+
+    Interior breakpoints split the interval and each piece gets a share of
+    the steps proportional to its length.  A step that starts on a
+    breakpoint is evaluated just past it, so right-limits are used when
+    integrating forward across a jump.
+    """
+    pieces = split_interval(s0, s, A.breakpoints)
     total = s - s0
-    alloc = [max(1, int(round(steps * (hi - lo) / total))) for lo, hi in pieces]
-    psi = np.eye(A.shape[0])
-    used = 0
-    for (lo, hi), n in zip(pieces, alloc):
-        pts = np.linspace(lo, hi, 2 * n + 1)
-        ev = pts.copy()
-        if lo in breaks:
-            ev[0] = nudge_off_break(lo)
-        vals = A.eval_array(ev)
-        h = (hi - lo) / n
-        for k in range(n):
-            a0, am, a1 = vals[2 * k], vals[2 * k + 1], vals[2 * k + 2]
-            k1 = a0 @ psi
-            k2 = am @ (psi + 0.5 * h * k1)
-            k3 = am @ (psi + 0.5 * h * k2)
-            k4 = a1 @ (psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        used += n
-    return psi, used
+    edges = np.concatenate(
+        [np.linspace(lo, hi, max(1, int(round(steps * (hi - lo) / total))) + 1)[:-1]
+         for lo, hi in pieces] + [[pieces[-1][1]]])
+    pts = np.linspace(edges[:-1], edges[1:], 3, axis=1)
+    if A.breakpoints:
+        at_break = np.isin(edges[:-1], A.breakpoints)
+        pts[at_break, 0] = [nudge_off_break(lo) for lo in edges[:-1][at_break]]
+    step_mats = _rk4_panels(A.eval_array(pts), np.diff(edges))
+    psi = step_mats[0]
+    for phi in step_mats[1:]:
+        psi = phi @ psi
+    return psi, len(step_mats)
 
 
 def ode_transition(A, s0, s, steps=256):

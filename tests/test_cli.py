@@ -6,6 +6,10 @@ and JSON payloads, and the reproducibility manifest contract.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,12 +380,15 @@ def test_equiv_dimension_mismatch(tmp_path, diag_file, car1_file, capsys):
 
 def test_wigner_rows_match_constant_density(tmp_path, car1_file):
     out = tmp_path / "wv.csv"
-    with pytest.warns(TruncationWarning):  # s_max=8 clips the lag window
-        code = dispatch(["wigner", "--model", car1_file, "--N", "4",
-                         "--t", "0", "--lmax", "2", "--dl", "0.5",
-                         "--umax", "8", "--smax", "8", "--out", str(out)])
+    code = dispatch(["wigner", "--model", car1_file, "--N", "4",
+                     "--t", "0", "--lmax", "2", "--dl", "0.5",
+                     "--umax", "8", "--smax", "8", "--out", str(out)])
     assert code == 0
-    resolved = json.loads((tmp_path / "wv.csv.manifest.json").read_text())["resolved"]
+    manifest = json.loads((tmp_path / "wv.csv.manifest.json").read_text())
+    # s_max=8 clips the lag window: the manifest records the warning
+    assert [w["category"] for w in manifest["warnings"]] == ["TruncationWarning"]
+    assert "s_max=8" in manifest["warnings"][0]["message"]
+    resolved = manifest["resolved"]
     assert resolved == {"umax": 8.0, "smax": 8.0, "certificate": None,
                         "transform": "chirp_z"}
     lines = out.read_text().splitlines()
@@ -390,6 +397,49 @@ def test_wigner_rows_match_constant_density(tmp_path, car1_file):
     assert abs(float(mid[0])) < 1e-12
     # constant coefficients: the finite-N spectrum equals the limit density
     assert abs(float(mid[1]) - 1.0 / (2.0 * np.pi)) < 5e-3
+
+
+def test_wigner_stderr_holds_json_lines_only(tmp_path, car1_file):
+    # s_max=8 makes wigner_ville raise a TruncationWarning; it belongs in the
+    # manifest, not in raw warning text on stderr
+    argv = ["wigner", "--model", car1_file, "--N", "4", "--t", "0", "--lmax", "2",
+            "--dl", "0.5", "--umax", "8", "--smax", "8"]
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "tvls.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines
+    records = [json.loads(line) for line in lines]
+    manifest = records[-1]["manifest"]
+    assert [w["category"] for w in manifest["warnings"]] == ["TruncationWarning"]
+    # the list is the same on a repeated in-process run
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            assert dispatch(argv + ["--out", str(tmp_path / "wv.csv")]) == 0
+        again = json.loads((tmp_path / "wv.csv.manifest.json").read_text())
+        assert again["warnings"] == manifest["warnings"]
+
+
+def _fmt_writer(rows):
+    return "".join(",".join(cli_mod._fmt(v) for v in row) + "\n" for row in rows)
+
+
+def test_write_csv_matches_value_by_value_writer(tmp_path):
+    u = np.linspace(-20.0, 20.0, 801)
+    float_rows = list(zip(u, np.exp(-u**2) * np.pi))
+    float_rows += [(np.nan, np.inf), (-np.inf, -0.0), (1e300, 5e-324),
+                   (np.float32(0.1), 2.0**-1074), (1.0, 0.1), ()]
+    mixed_rows = [[3, np.float64(0.5), np.int64(-7), True],
+                  [2**60 + 1, np.bool_(False), 1e-17, np.uint8(255)],
+                  (np.int32(4), 0.25), [True, False], [0, 0.0, -0.0]]
+    for rows in (float_rows, mixed_rows, float_rows + mixed_rows):
+        out = tmp_path / "rows.csv"
+        cli_mod._write_csv(iter(rows), str(out))
+        assert out.read_text() == _fmt_writer(rows)
 
 
 def test_wvconv_distances_shrink(tmp_path, tvcar1_file):

@@ -11,6 +11,7 @@ from tvls import (
     GridMismatchError,
     KernelGrid,
     MatrixFunction,
+    PiecewisePolynomial,
     PreconditionError,
     Sinusoidal,
     SmoothnessError,
@@ -25,6 +26,7 @@ from tvls import (
     lambda_max_check,
     statespace_kernel,
 )
+from tvls.model import sup_norm
 
 
 # ------------------------------------------------------------ car1 kernels
@@ -131,6 +133,41 @@ def test_grid_routes_agree_on_noncommutative_model(noncomm_family):
     g_pb = kernel_grid(m, 2, 0.0, u_max=3.0, du=0.01, transition_method="pb")
     g_ode = kernel_grid(m, 2, 0.0, u_max=3.0, du=0.01, transition_method="ode")
     assert np.abs(g_pb.values - g_ode.values).max() < 1e-8
+
+
+def _finite_grid_loop(m, N, t, u_grid, rk4_step_loop):
+    """Reference finite-N kernel on the RK4 route: each panel's propagator
+    from the scalar step loop, on the same stage grid as the package."""
+    du = u_grid[1] - u_grid[0]
+    shifted = m.A.reparametrized(t, 1.0 / N)
+    c_vals = m.C.eval_array(t - u_grid / N)[:, :, 0]
+    n_panels = len(u_grid) - 1
+    n_sub = max(1, int(np.ceil(du * max(1.0, sup_norm(shifted, -u_grid[-1], 0.0)) / 0.05)))
+    a_stage = shifted.eval_array(np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1))
+    row = m.B.eval_vec(t)
+    values = [row @ c_vals[0]]
+    for j in range(n_panels):
+        base = (n_panels - 1 - j) * 2 * n_sub
+        row = row @ rk4_step_loop(a_stage[base:base + 2 * n_sub + 1], du / n_sub)
+        values.append(row @ c_vals[j + 1])
+    return np.array(values)
+
+
+def test_finite_grid_matches_scalar_panel_loop(drifting_companion, rk4_step_loop):
+    # a kink in the damping at t = 0.2 lies inside the visited window [t - u_max/N, t]
+    kinked_A = MatrixFunction([[Constant(0.0), Constant(1.0)],
+                               [Constant(-4.0),
+                                PiecewisePolynomial([0.2], [[-3.0, 2.0], [-2.2, -2.0]])]],
+                              what="A")
+    kinked = StateSpaceModel(2, kinked_A, [Constant(1.0), Constant(0.5)],
+                             [Affine(0.2, 0.1), Constant(1.0)], drifting_companion.levy)
+    for m, N, t, u_max, du in [(drifting_companion, 16, 0.3, 5.0, 0.01),
+                               (drifting_companion, 3, -0.8, 4.0, 0.05),
+                               (kinked, 4, 0.5, 3.0, 0.01)]:
+        grid = kernel_grid(m, N, t, u_max, du, transition_method="ode")
+        ref = _finite_grid_loop(m, N, t, grid.u_grid, rk4_step_loop)
+        assert np.abs(grid.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(kernel_grid(m, N, t, u_max, du).values, grid.values)
 
 
 def test_auto_route_commutative_p2():

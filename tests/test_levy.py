@@ -12,7 +12,6 @@ from tvls import (
     characteristic_exponent,
     refine_increments,
     sample_increments,
-    variance,
 )
 
 
@@ -39,7 +38,6 @@ def test_model_validation():
 def test_sigma_l_derivation():
     m = LevyModel(brownian_variance=0.3, jump_intensity=2.0, jump_std=0.5)
     assert m.sigma_l == 0.3 + 2.0 * 0.25
-    assert variance(m) == m.sigma_l
     assert LevyModel(brownian_variance=1.0).sigma_l == 1.0
 
 

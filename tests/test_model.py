@@ -20,8 +20,6 @@ from tvls import (
     StateSpaceModel,
     Step,
     companion_from_carma,
-    derivative,
-    evaluate,
     model_from_json,
     scalar_from_json,
 )
@@ -227,8 +225,6 @@ def test_matrix_function_eval():
 def test_matrix_function_flags_and_helpers():
     m = MatrixFunction.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert m.is_constant and m.analytic and m.is_continuous
-    assert np.allclose(evaluate(m, 7.0), [[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(derivative(m, 7.0), 0.0)
 
     col = MatrixFunction.column([Constant(1.0), Constant(2.0)])
     assert col.shape == (2, 1)

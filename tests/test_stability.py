@@ -127,6 +127,19 @@ def test_eigen_bound_non_normal():
     envelope_holds(A, cert)
 
 
+def test_eigen_bound_drifting_companion_values(drifting_companion):
+    # gamma and lam as the per-step RK4 loop gave them before the batched core
+    A = drifting_companion.A
+    expected = {(-0.5, 0.5): (1.782576981536633, 0.8169872981077808),
+                (-1.25, 1.0): (1.6720339065682357, 0.6376275643042053)}
+    for window, (gamma, lam) in expected.items():
+        assert not lambda_max_check(A, window).passed
+        cert = eigen_bound_check(A, window)
+        assert cert.passed
+        assert cert.gamma == pytest.approx(gamma, rel=1e-12, abs=0.0)
+        assert cert.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+
 def test_eigen_bound_rejects_steps():
     A = MatrixFunction([[Step(0.5, -1.0, -2.0)]], what="A")
     with pytest.raises(SmoothnessError):

@@ -10,16 +10,18 @@ from tvls import (
     Constant,
     DivergenceError,
     MatrixFunction,
+    PiecewisePolynomial,
     PreconditionError,
     Sinusoidal,
     Step,
     check_commutativity,
     commutative_transition,
-    expm_2x2,
     matrix_exp,
     ode_transition,
     peano_baker,
 )
+from tvls.quadrature import nudge_off_break, split_interval
+from tvls.transition import _rk4_panels
 
 
 @pytest.fixture
@@ -63,35 +65,33 @@ def test_matrix_exp_closed_form():
         matrix_exp(np.ones((2, 3)))
 
 
-def test_expm_2x2_branches():
-    # distinct real eigenvalues
-    D = np.array([[0.0, 1.0], [-2.0, -3.0]])
-    assert np.abs(expm_2x2(D) - closed_form_constant(1.0)).max() < 1e-14
-    # complex pair: rotation generator
-    R = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    expected = np.array([[math.cos(1.0), math.sin(1.0)],
-                         [-math.sin(1.0), math.cos(1.0)]])
-    out = expm_2x2(R)
-    assert not np.iscomplexobj(out)
-    assert np.abs(out - expected).max() < 1e-14
-    # confluent Jordan block
-    J = np.array([[-1.0, 1.0], [0.0, -1.0]])
-    expected = math.exp(-1.0) * np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert np.abs(expm_2x2(J) - expected).max() < 1e-14
-    # nearly confluent eigenvalues stay finite and accurate
-    eps = 1e-10
-    N = np.array([[-1.0 + eps, 1.0], [0.0, -1.0]])
-    assert np.abs(expm_2x2(N) - matrix_exp(N)).max() < 1e-6
+def test_matrix_exp_stacks_match_single_calls():
+    # column-sum norms from 0.01 to 300: 0, 1 and up to 6 squarings in one stack
+    rng = np.random.default_rng(5)
+    scales = [0.01, 0.5, 1.3, 4.0, 6.5, 12.0, 80.0, 300.0]
+    stack = np.stack([rng.standard_normal((3, 3)) * s / 3.0 for s in scales])
+    stack = np.concatenate([stack, np.zeros((1, 3, 3))])
+    squarings = {max(0, math.ceil(math.log2(np.abs(D).sum(axis=0).max() / 5.371920351148152)))
+                 for D in stack if np.abs(D).sum() > 0}
+    assert {0, 1}.issubset(squarings) and max(squarings) >= 4
+    out = matrix_exp(stack)
+    assert out.shape == stack.shape
+    for D, E in zip(stack, out):
+        assert np.array_equal(E, matrix_exp(D))
+        ref = scipy.linalg.expm(D)
+        assert np.linalg.norm(E - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+    # any leading shape, complex entries and empty stacks
+    grid = stack[:8].reshape(2, 4, 3, 3)
+    assert np.array_equal(matrix_exp(grid), out[:8].reshape(2, 4, 3, 3))
+    rot = np.array([[[0.0, 1.0], [-1.0, 0.0]]]) * np.array([0.5, 1.0])[:, None, None] * 1j
+    assert np.allclose(matrix_exp(rot), np.stack([scipy.linalg.expm(R) for R in rot]),
+                       rtol=0.0, atol=1e-14)
+    assert matrix_exp(np.empty((0, 2, 2))).shape == (0, 2, 2)
+    assert matrix_exp(np.empty((0, 0))).shape == (0, 0)
     with pytest.raises(PreconditionError):
-        expm_2x2(np.eye(3))
-
-
-def test_expm_2x2_random_agreement():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        D = rng.standard_normal((2, 2)) * rng.uniform(0.1, 4.0)
-        assert np.abs(expm_2x2(D) - matrix_exp(D)).max() < 1e-11 * max(
-            1.0, np.abs(matrix_exp(D)).max())
+        matrix_exp(np.ones((4, 2, 3)))
+    with pytest.raises(PreconditionError):
+        matrix_exp(np.ones(3))
 
 
 # ------------------------------------------------------------- peano_baker
@@ -192,6 +192,48 @@ def test_ode_step_crossing():
     A = MatrixFunction([[Step(1.0, -1.0, -2.0)]], what="A")
     out = ode_transition(A, 0.0, 2.0, steps=512)
     assert abs(out.value[0, 0] - math.exp(-3.0)) < 1e-10
+
+
+def _rk4_run_loop(A, s0, s, steps, rk4_step_loop):
+    """Reference ode_transition value: each piece between breakpoints advanced
+    step by step on one stage grid, the start of a piece nudged off its break."""
+    breaks = set(A.breakpoints)
+    pieces = split_interval(s0, s, breaks)
+    psi = np.eye(A.shape[0])
+    for lo, hi in pieces:
+        n = max(1, int(round(steps * (hi - lo) / (s - s0))))
+        ev = np.linspace(lo, hi, 2 * n + 1)
+        if lo in breaks:
+            ev[0] = nudge_off_break(lo)
+        psi = rk4_step_loop(A.eval_array(ev), (hi - lo) / n) @ psi
+    return psi
+
+
+def test_rk4_panels_match_scalar_loop(rk4_step_loop):
+    rng = np.random.default_rng(11)
+    a_stage = rng.standard_normal((7, 2 * 3 + 1, 3, 3))
+    for h in (0.05, rng.uniform(0.01, 0.1, size=7)):
+        out = _rk4_panels(a_stage, h)
+        hs = np.broadcast_to(h, (7,))
+        for panel, phi, hk in zip(a_stage, out, hs):
+            ref = rk4_step_loop(panel, hk)
+            assert np.abs(phi - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_ode_transition_matches_scalar_loop_and_series(noncomm_family, rk4_step_loop):
+    kinked = MatrixFunction([[Constant(0.0), Constant(1.0)],
+                             [PiecewisePolynomial([0.4], [[-2.0, -1.0], [-2.8, 1.0]]),
+                              Constant(-3.0)]], what="A")
+    stepped = MatrixFunction([[Step(1.0, -1.0, -2.0), Constant(0.5)],
+                              [Constant(0.0), Constant(-1.0)]], what="A")
+    cases = [(noncomm_family, 0.0, 1.0, 256), (noncomm_family, -0.7, 2.3, 370),
+             (kinked, 0.0, 1.5, 200), (kinked, 0.4, 1.0, 64), (stepped, 0.0, 2.0, 128)]
+    for A, s0, s, steps in cases:
+        out = ode_transition(A, s0, s, steps)
+        ref = _rk4_run_loop(A, s0, s, steps, rk4_step_loop)
+        assert np.abs(out.value - ref).max() <= 1e-13 * np.abs(ref).max()
+        series = peano_baker(A, s0, s).value
+        assert np.abs(out.value - series).max() < 1e-7
 
 
 # ------------------------------------------------------- commutative route
