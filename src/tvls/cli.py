@@ -539,27 +539,34 @@ def dispatch(argv):
 
     Each subcommand returns its manifest parameters and resolved block; the
     manifest is written once the command has finished, with the truncation
-    and tail-mass warnings it raised, so stderr carries JSON lines only.
+    and tail-mass warnings it raised, so stderr carries JSON lines only.  A
+    failing command reports those warnings in its error line instead; other
+    warnings are shown whether the command succeeds or fails.
     """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    warned, caught = [], []
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            for category in _RECORDED_WARNINGS:
-                warnings.simplefilter("always", category)
-            params, resolved = args.fn(args)
-        _emit_manifest(args.subcommand, params, args.out, resolved, _manifest_warnings(caught))
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                for category in _RECORDED_WARNINGS:
+                    warnings.simplefilter("always", category)
+                params, resolved = args.fn(args)
+        finally:
+            warned = _manifest_warnings(caught)
+        _emit_manifest(args.subcommand, params, args.out, resolved, warned)
         return 0
     except PreconditionError as exc:
         sys.stderr.write(json.dumps(
-            {"error": str(exc), "type": type(exc).__name__}) + "\n")
+            {"error": str(exc), "type": type(exc).__name__, "warnings": warned}) + "\n")
         return 2
     except Exception as exc:  # internal errors: code 1, still machine-readable
         sys.stderr.write(json.dumps(
-            {"error": f"{type(exc).__name__}: {exc}", "type": "internal"}) + "\n")
+            {"error": f"{type(exc).__name__}: {exc}", "type": "internal",
+             "warnings": warned}) + "\n")
         return 1
 
 

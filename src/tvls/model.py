@@ -357,7 +357,7 @@ class Callback(ScalarFunction):
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return float(self.fn(float(t)))
-        return np.array([float(self.fn(float(x))) for x in t])
+        return np.array([float(self.fn(float(x))) for x in t.ravel()]).reshape(t.shape)
 
     def nth_derivative(self, t, n):
         if n == 0:

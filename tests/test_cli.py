@@ -17,7 +17,7 @@ import pytest
 
 import tvls.cli as cli_mod
 from tvls.cli import dispatch
-from tvls.errors import TruncationWarning
+from tvls.errors import PreconditionError, TruncationWarning
 from tvls.kernels import convergence_diagnostic
 from tvls.model import model_from_json
 from tvls.stability import lambda_max_check
@@ -422,6 +422,26 @@ def test_wigner_stderr_holds_json_lines_only(tmp_path, car1_file):
             assert dispatch(argv + ["--out", str(tmp_path / "wv.csv")]) == 0
         again = json.loads((tmp_path / "wv.csv.manifest.json").read_text())
         assert again["warnings"] == manifest["warnings"]
+
+
+def test_failing_run_keeps_its_warnings(monkeypatch, capsys):
+    # a command that warns and then fails: the tvls warning goes into the
+    # error line, any other warning is still shown
+    def warn_then_fail(args):
+        warnings.warn("window truncated", TruncationWarning)
+        warnings.warn("overflow in exp", RuntimeWarning)
+        raise PreconditionError("bad window")
+
+    monkeypatch.setattr(cli_mod, "_cmd_transition", warn_then_fail)
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match="overflow in exp"):
+        code = dispatch(["transition", "--model", "unused.json", "--s0", "0", "--s", "1"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    err = json.loads(lines[-1])
+    assert err["type"] == "PreconditionError"
+    assert err["warnings"] == [{"category": "TruncationWarning",
+                                "message": "window truncated"}]
 
 
 def _fmt_writer(rows):

@@ -131,6 +131,8 @@ def test_step_family():
 def test_callback_family():
     f = Callback(lambda t: t * t + 1.0)
     assert f.value(2.0) == 5.0
+    grid = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]])
+    assert np.array_equal(f.value(grid), grid * grid + 1.0)
     assert f.nth_derivative(1.5, 1) == pytest.approx(3.0, abs=1e-7)
     with pytest.raises(SmoothnessError):
         f.nth_derivative(0.0, 2)

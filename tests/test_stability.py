@@ -127,6 +127,18 @@ def test_eigen_bound_non_normal():
     envelope_holds(A, cert)
 
 
+def test_eigen_bound_on_callback_matches_analytic_family():
+    analytic = MatrixFunction([[Sinusoidal(-1.0, -0.25, 1.0, 0.0), 1.0],
+                               [0.0, -2.0]], what="A")
+    wrapped = MatrixFunction([[Callback(lambda t: -1.0 - 0.25 * math.sin(t)), 1.0],
+                              [0.0, -2.0]], what="A")
+    ref = eigen_bound_check(analytic, (0.0, 2.0))
+    cert = eigen_bound_check(wrapped, (0.0, 2.0))
+    assert ref.passed and cert.passed
+    assert cert.gamma == pytest.approx(ref.gamma, rel=1e-9)
+    assert cert.lam == pytest.approx(ref.lam, rel=1e-12)
+
+
 def test_eigen_bound_drifting_companion_values(drifting_companion):
     # gamma and lam as the per-step RK4 loop gave them before the batched core
     A = drifting_companion.A

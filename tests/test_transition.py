@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from tvls import (
+    Callback,
     Constant,
     DivergenceError,
     MatrixFunction,
@@ -234,6 +235,19 @@ def test_ode_transition_matches_scalar_loop_and_series(noncomm_family, rk4_step_
         assert np.abs(out.value - ref).max() <= 1e-13 * np.abs(ref).max()
         series = peano_baker(A, s0, s).value
         assert np.abs(out.value - series).max() < 1e-7
+
+
+def test_ode_transition_on_callback_matches_analytic_family():
+    # _rk4_run evaluates a 2-D grid of stage points; an opaque callback
+    # coefficient must give the values of the same analytic family
+    analytic = MatrixFunction([[Sinusoidal(-1.0, -0.25, 1.0, 0.0), 1.0],
+                               [-2.0, -3.0]], what="A")
+    wrapped = MatrixFunction([[Callback(lambda t: -1.0 - 0.25 * math.sin(t)), 1.0],
+                              [-2.0, -3.0]], what="A")
+    for s0, s, steps in ((0.0, 1.0, 256), (-0.7, 2.3, 33)):
+        ref = ode_transition(analytic, s0, s, steps)
+        out = ode_transition(wrapped, s0, s, steps)
+        assert np.abs(out.value - ref.value).max() <= 1e-13 * np.abs(ref.value).max()
 
 
 # ------------------------------------------------------- commutative route
