@@ -52,8 +52,6 @@ from .transition import (
 from .kernels import (
     KernelGrid,
     car1_kernel,
-    car1_limit_kernel,
-    statespace_kernel,
     kernel_grid,
     l2_distance,
     convergence_diagnostic,
@@ -73,6 +71,7 @@ from .stability import (
     lambda_max_check,
     eigen_bound_check,
     commutative_route_check,
+    auto_certificate,
     controllability_matrix,
     instantaneous_controllability,
     carma_transform,

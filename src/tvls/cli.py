@@ -15,7 +15,7 @@ naming the problem is printed to stderr), 1 on internal errors.
 
 import argparse
 import json
-import os
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -23,24 +23,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import PreconditionError, TailMassWarning, TruncationWarning, TvlsError
+from .errors import PreconditionError, TailMassWarning, TruncationWarning
 from .kernels import _grid_steps, convergence_diagnostic, kernel_grid
 from .model import CarmaModel, companion_from_carma, model_from_json
 from .simulate import simulate_paths
 from .spectral import GridConfig, spectral_density, wigner_ville, wv_convergence
 from .stability import (
+    auto_certificate,
     commutative_route_check,
     eigen_bound_check,
     instantaneous_controllability,
     lambda_max_check,
     transfer_equivalence,
 )
-from .transition import (
-    check_commutativity,
-    commutative_transition,
-    ode_transition,
-    peano_baker,
-)
+from .transition import _resolve_route, commutative_transition, ode_transition, peano_baker
 
 __all__ = ["main", "dispatch"]
 
@@ -118,7 +114,6 @@ def _emit_manifest(subcommand, params, out, resolved, warned):
         "subcommand": subcommand,
         "parameters": params,
         "argv_resolved": argv,
-        "threads": os.environ.get("TVLS_THREADS"),
         "warnings": warned,
     }
     if resolved is not None:
@@ -143,6 +138,28 @@ def _load_model(path):
     if isinstance(m, CarmaModel):
         m = companion_from_carma(m)
     return m
+
+
+def _finite_float(text):
+    """Argparse type of every float flag: a finite number, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_float_list(text, flag):
+    """Comma-separated finite numbers; a PreconditionError naming ``flag`` otherwise."""
+    try:
+        vals = [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        vals = None
+    if not vals or not all(map(math.isfinite, vals)):
+        raise PreconditionError(f"{flag}: expected comma-separated finite numbers, got {text!r}")
+    return vals
 
 
 def _parse_int_list(text, flag):
@@ -180,21 +197,8 @@ def _resolved(config, **extra):
     return {"umax": config.resolved_u_max(), "certificate": cert, **extra}
 
 
-def _auto_certificate(A, window):
-    cert = lambda_max_check(A, window)
-    if cert.passed:
-        return cert
-    try:
-        cert2 = eigen_bound_check(A, window)
-    except TvlsError:
-        cert2 = None
-    if cert2 is not None and cert2.passed:
-        return cert2
-    return cert  # the failure, for its reason
-
-
 def _require_certificate(A, window, flag_hint):
-    cert = _auto_certificate(A, window)
+    cert = auto_certificate(A, window)
     if not cert.passed:
         raise PreconditionError(
             f"no stability certificate found on window {window} ({cert.reason}); "
@@ -213,7 +217,7 @@ def _cmd_simulate(args):
         cert = _require_certificate(m.A, (args.t0, args.t1), "--burn-in")
         burn_in = 12.0 / cert.lam
         wide = (args.t0 - burn_in / args.N, args.t1)
-        cert2 = _auto_certificate(m.A, wide)
+        cert2 = auto_certificate(m.A, wide)
         if cert2.passed:
             burn_in = 12.0 / cert2.lam
     ens = simulate_paths(m, args.N, t_grid, args.paths, seed=args.seed,
@@ -262,7 +266,7 @@ def _cmd_converge(args):
 def _cmd_spectrum(args):
     m = _load_model(args.model)
     lam = _lambda_grid(args.lmax, args.dl)
-    config = GridConfig(u_max=args.umax, du=args.du, transition_method=args.method)
+    config = GridConfig(u_max=args.umax, du=args.du)
     if args.umax is None:
         config.certificate = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
     spec = spectral_density(m, args.t, lam, config)
@@ -270,8 +274,7 @@ def _cmd_spectrum(args):
     resolved = _resolved(config, transform=spec.route)
     return {
         "model": args.model, "t": args.t, "lmax": args.lmax, "dl": args.dl,
-        "umax": args.umax, "du": args.du, "method": args.method,
-        "out": args.out}, resolved
+        "umax": args.umax, "du": args.du, "out": args.out}, resolved
 
 
 def _wv_config(m, args):
@@ -314,11 +317,7 @@ def _cmd_transition(args):
     m = _load_model(args.model)
     method = args.method
     if method == "auto":
-        lo, hi = min(args.s0, args.s), max(args.s0, args.s)
-        if hi > lo and check_commutativity(m.A, (lo, hi)).passes:
-            method = "comm"
-        else:
-            method = "pb"
+        method = _resolve_route(m.A, (min(args.s0, args.s), max(args.s0, args.s)))
     if method == "pb":
         res = peano_baker(m.A, args.s0, args.s, tol=args.tol)
     elif method == "ode":
@@ -339,26 +338,14 @@ def _cmd_transition(args):
 
 def _cmd_stability(args):
     m = _load_model(args.model)
-    try:
-        lo, hi = (float(x) for x in args.window.split(","))
-    except ValueError:
-        raise PreconditionError(f"window: expected 'lo,hi', got {args.window!r}") from None
-    routes = {"lambda_max": lambda_max_check, "eigen": eigen_bound_check,
-              "comm": commutative_route_check}
+    window = _parse_float_list(args.window, "window")
+    if len(window) != 2:
+        raise PreconditionError(f"window: expected 'lo,hi', got {args.window!r}")
+    lo, hi = window
+    routes = {"auto": auto_certificate, "lambda_max": lambda_max_check,
+              "eigen": eigen_bound_check, "comm": commutative_route_check}
     route = {"a": "lambda_max", "b": "eigen"}.get(args.route, args.route)
-    if route == "auto":
-        result = None
-        for fn in routes.values():
-            try:
-                result = fn(m.A, (lo, hi))
-            except TvlsError:
-                continue
-            if result.passed:
-                break
-    else:
-        result = routes[route](m.A, (lo, hi))
-    if result is None:
-        raise PreconditionError("stability: no route is applicable to this model")
+    result = routes[route](m.A, (lo, hi))
     if result.passed:
         out_obj = {"passed": True, "route": result.route,
                    "gamma": result.gamma, "lam": result.lam,
@@ -378,14 +365,7 @@ def _cmd_stability(args):
 def _cmd_control(args):
     m = _load_model(args.model)
     if args.tgrid is not None:
-        try:
-            t_grid = np.array([float(x) for x in args.tgrid.split(",")
-                               if x.strip() != ""])
-        except ValueError:
-            raise PreconditionError(
-                f"tgrid: expected comma-separated numbers, got {args.tgrid!r}") from None
-        if t_grid.size == 0:
-            raise PreconditionError("tgrid: empty list")
+        t_grid = np.array(_parse_float_list(args.tgrid, "tgrid"))
     elif args.t is not None:
         t_grid = np.array([args.t])
     else:
@@ -439,62 +419,61 @@ def _build_parser():
 
     sp = add("simulate", _cmd_simulate, "simulate observation paths (CSV: path,t,X...,Y)")
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--t0", type=float, required=True)
-    sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--dt", type=float, required=True)
+    sp.add_argument("--t0", type=_finite_float, required=True)
+    sp.add_argument("--t1", type=_finite_float, required=True)
+    sp.add_argument("--dt", type=_finite_float, required=True)
     sp.add_argument("--paths", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--burn-in", dest="burn_in", type=float, default=None)
+    sp.add_argument("--burn-in", dest="burn_in", type=_finite_float, default=None)
 
     sp = add("kernel", _cmd_kernel, "lag kernel on a grid (CSV: u,value)")
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--N", required=True, help="positive integer or 'limit'")
-    sp.add_argument("--umax", type=float, default=None)
-    sp.add_argument("--du", type=float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "pb", "ode", "comm"])
+    sp.add_argument("--umax", type=_finite_float, default=None)
+    sp.add_argument("--du", type=_finite_float, default=0.005)
+    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("converge", _cmd_converge, "kernel convergence in N (CSV: N,distance)")
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--Ns", required=True, help="comma-separated N values")
-    sp.add_argument("--umax", type=float, default=None)
-    sp.add_argument("--du", type=float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "pb", "ode", "comm"])
+    sp.add_argument("--umax", type=_finite_float, default=None)
+    sp.add_argument("--du", type=_finite_float, default=0.005)
+    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("spectrum", _cmd_spectrum, "limiting spectral density (CSV: lambda,f)")
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--lmax", type=float, required=True)
-    sp.add_argument("--dl", type=float, required=True)
-    sp.add_argument("--umax", type=float, default=None)
-    sp.add_argument("--du", type=float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "pb", "ode", "comm"])
+    sp.add_argument("--t", type=_finite_float, required=True)
+    sp.add_argument("--lmax", type=_finite_float, required=True)
+    sp.add_argument("--dl", type=_finite_float, required=True)
+    sp.add_argument("--umax", type=_finite_float, default=None)
+    sp.add_argument("--du", type=_finite_float, default=0.005)
 
     sp = add("wigner", _cmd_wigner, "finite-N time-frequency spectrum (CSV: lambda,f_N)")
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--lmax", type=float, required=True)
-    sp.add_argument("--dl", type=float, required=True)
-    sp.add_argument("--smax", type=float, default=None)
-    sp.add_argument("--ds", type=float, default=0.05)
-    sp.add_argument("--umax", type=float, default=None)
-    sp.add_argument("--du", type=float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "pb", "ode", "comm"])
+    sp.add_argument("--lmax", type=_finite_float, required=True)
+    sp.add_argument("--dl", type=_finite_float, required=True)
+    sp.add_argument("--smax", type=_finite_float, default=None)
+    sp.add_argument("--ds", type=_finite_float, default=0.05)
+    sp.add_argument("--umax", type=_finite_float, default=None)
+    sp.add_argument("--du", type=_finite_float, default=0.005)
+    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("wvconv", _cmd_wvconv, "spectrum convergence in N (CSV: N,distance)")
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--Ns", required=True)
-    sp.add_argument("--lmax", type=float, required=True)
-    sp.add_argument("--dl", type=float, required=True)
-    sp.add_argument("--smax", type=float, default=None)
-    sp.add_argument("--ds", type=float, default=0.05)
-    sp.add_argument("--umax", type=float, default=None)
-    sp.add_argument("--du", type=float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "pb", "ode", "comm"])
+    sp.add_argument("--lmax", type=_finite_float, required=True)
+    sp.add_argument("--dl", type=_finite_float, required=True)
+    sp.add_argument("--smax", type=_finite_float, default=None)
+    sp.add_argument("--ds", type=_finite_float, default=0.05)
+    sp.add_argument("--umax", type=_finite_float, default=None)
+    sp.add_argument("--du", type=_finite_float, default=0.005)
+    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("transition", _cmd_transition, "transition matrix (JSON)")
-    sp.add_argument("--s0", type=float, required=True)
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--s0", type=_finite_float, required=True)
+    sp.add_argument("--s", type=_finite_float, required=True)
     sp.add_argument("--method", default="auto", choices=["pb", "ode", "comm", "auto"])
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=_finite_float, default=1e-12)
     sp.add_argument("--steps", type=int, default=256)
 
     sp = add("stability", _cmd_stability, "stability certificate (JSON)")
@@ -505,15 +484,15 @@ def _build_parser():
 
     sp = add("control", _cmd_control, "instantaneous controllability (JSON)")
     sp.add_argument("--tgrid", default=None, help="comma-separated times")
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--t0", type=float, default=None)
-    sp.add_argument("--t1", type=float, default=None)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--t", type=_finite_float, default=None)
+    sp.add_argument("--t0", type=_finite_float, default=None)
+    sp.add_argument("--t1", type=_finite_float, default=None)
+    sp.add_argument("--dt", type=_finite_float, default=None)
 
     sp = add("equiv", _cmd_equiv, "frozen-time transfer equivalence (JSON)",
              model_flags=("--model", "--model1"))
     sp.add_argument("--model2", required=True, help="second model JSON file")
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
 
     return parser
 

@@ -8,40 +8,31 @@ the finite-N kernel and its slow-variation limit are
     g(t, u)   = B(t)' exp(A(t) u) C(t),
 
 where Psi_{N,t} is the transition matrix of s -> A(s/N + t).  Both vanish
-for u < 0 (causality).  This module evaluates kernels pointwise and on
-uniform grids, measures L2 distances between grids, and packages the
-finite-N -> limit convergence diagnostic.
+for u < 0 (causality).  This module evaluates the scalar kernel pointwise
+and state-space kernels on uniform grids, measures L2 distances between
+grids, and packages the finite-N -> limit convergence diagnostic.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError, PreconditionError, SmoothnessError, TailMassWarning
 from .model import sup_norm
-from .quadrature import composite_simpson, cumulative_simpson
-from .transition import (
-    _rk4_panels,
-    check_commutativity,
-    commutative_transition,
-    matrix_exp,
-    ode_transition,
-    peano_baker,
-)
+from .quadrature import composite_simpson, cumulative_simpson, trapezoid
+from .transition import _resolve_route, _rk4_panels, matrix_exp
 
 __all__ = [
     "KernelGrid",
     "ConvergenceReport",
     "car1_kernel",
-    "car1_limit_kernel",
-    "statespace_kernel",
     "kernel_grid",
     "l2_distance",
     "convergence_diagnostic",
 ]
 
-_METHODS = ("auto", "pb", "ode", "comm")
+_METHODS = ("auto", "ode", "comm")
 
 # Most points a lag, window, frequency or time grid may hold (16 MB of float64),
 # checked before the grid is allocated.
@@ -71,8 +62,7 @@ class KernelGrid:
 
     def l2_mass(self):
         """Integral of the squared kernel over the grid (trapezoid)."""
-        sq = self.values**2
-        return float(self.du * (sq.sum() - 0.5 * (sq[0] + sq[-1])))
+        return float(trapezoid(self.values**2, self.du))
 
     def l2_norm(self):
         return float(np.sqrt(self.l2_mass()))
@@ -123,13 +113,6 @@ def car1_kernel(a, N, t, u):
     return float(np.exp(-integral))
 
 
-def car1_limit_kernel(a, t, u):
-    """Limit kernel exp(-a(t) u) of the scalar model; 0 for negative lags."""
-    u = np.asarray(u, dtype=float)
-    out = np.where(u >= 0, np.exp(-a.value(t) * np.where(u >= 0, u, 0.0)), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _check_n(N):
     if N == "limit":
         return N
@@ -157,50 +140,6 @@ def _grid_steps(extent, step, what):
             f"{what}: {extent:g} / {step:g} exceeds the grid budget of "
             f"{MAX_GRID_POINTS} points")
     return int(round(ratio))
-
-
-def _auto_steps(A, s0, s):
-    norm = max(1.0, sup_norm(A, s0, s))
-    return max(16, int(np.ceil((s - s0) * norm / 0.05)))
-
-
-def statespace_kernel(m, N, t, u, transition_method="auto", steps=None, tol=1e-10):
-    """Kernel of a state-space model at a single lag.
-
-    For finite N this is B(t)' Psi(0, -u) C(t - u/N) with Psi computed by
-    the requested transition route; for N = "limit" the coefficients are
-    frozen at t and the exponential is exact.
-    """
-    if transition_method not in _METHODS:
-        raise PreconditionError(f"transition_method must be one of {_METHODS}")
-    N = _check_n(N)
-    u = float(u)
-    if u < 0:
-        return 0.0
-    bt = m.B.eval_vec(t)
-    if N == "limit":
-        ct = m.C.eval_vec(t)
-        return float(bt @ matrix_exp(m.A.eval(t) * u) @ ct)
-    shifted = m.A.reparametrized(t, 1.0 / N)
-    ct = m.C.eval_vec(t - u / N)
-    if u == 0.0:
-        return float(bt @ ct)
-    if transition_method == "pb":
-        psi = peano_baker(shifted, -u, 0.0, tol=tol).value
-    elif transition_method == "comm":
-        psi = commutative_transition(shifted, -u, 0.0).value
-    elif transition_method == "ode":
-        psi = ode_transition(shifted, -u, 0.0, steps or _auto_steps(shifted, -u, 0.0)).value
-    else:  # auto
-        if m.p == 1:
-            integral = composite_simpson(lambda s: shifted.eval_array(s)[:, 0, 0],
-                                         -u, 0.0, _car1_panels(u))
-            psi = np.array([[np.exp(integral)]])
-        elif check_commutativity(shifted, (-u, 0.0), 9, 1e-10).passes:
-            psi = commutative_transition(shifted, -u, 0.0).value
-        else:
-            psi = ode_transition(shifted, -u, 0.0, _auto_steps(shifted, -u, 0.0)).value
-    return float(bt @ psi @ ct)
 
 
 def _limit_grid_values(m, t, u_grid):
@@ -232,12 +171,7 @@ def _finite_grid_values(m, N, t, u_grid, transition_method):
     bt = m.B.eval_vec(t)
     method = transition_method
     if method == "auto":
-        if m.p == 1 and m.A.is_continuous:
-            method = "comm"
-        elif check_commutativity(shifted, (-u_grid[-1], 0.0), 17, 1e-10).passes:
-            method = "comm"
-        else:
-            method = "ode"
+        method = _resolve_route(shifted, (-u_grid[-1], 0.0))
     if method == "comm":
         # Psi(0, -u) = exp(int_0^u A(t - x/N) dx), cumulatively over the grid.
         avals = shifted.eval_array(-u_grid)
@@ -251,19 +185,15 @@ def _finite_grid_values(m, N, t, u_grid, transition_method):
     # one panel at a time via r_{j+1} = r_j Phi_j with Phi_j the transition
     # over s in [-u_{j+1}, -u_j].
     n_panels = len(u_grid) - 1
-    if method == "pb":
-        phis = [peano_baker(shifted, -u_grid[j + 1], -u_grid[j], tol=1e-12).value
-                for j in range(n_panels)]
-    else:
-        norm = max(1.0, sup_norm(shifted, -u_grid[-1], 0.0))
-        n_sub = max(1, int(np.ceil(du * norm / 0.05)))
-        stage = np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1)
-        a_stage = shifted.eval_array(stage)
-        # Panel i of the stage grid spans nodes 2 n_sub i .. 2 n_sub (i + 1);
-        # it is lag panel n_panels - 1 - i, hence the reversal.
-        panels = np.lib.stride_tricks.sliding_window_view(
-            a_stage, 2 * n_sub + 1, axis=0)[::2 * n_sub]
-        phis = _rk4_panels(np.moveaxis(panels, -1, 1), du / n_sub)[::-1]
+    norm = max(1.0, sup_norm(shifted, -u_grid[-1], 0.0))
+    n_sub = max(1, int(np.ceil(du * norm / 0.05)))
+    stage = np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1)
+    a_stage = shifted.eval_array(stage)
+    # Panel i of the stage grid spans nodes 2 n_sub i .. 2 n_sub (i + 1);
+    # it is lag panel n_panels - 1 - i, hence the reversal.
+    panels = np.lib.stride_tricks.sliding_window_view(
+        a_stage, 2 * n_sub + 1, axis=0)[::2 * n_sub]
+    phis = _rk4_panels(np.moveaxis(panels, -1, 1), du / n_sub)[::-1]
     values = np.empty(len(u_grid))
     row = bt.astype(float).copy()
     values[0] = row @ c_vals[0]
@@ -275,6 +205,11 @@ def _finite_grid_values(m, N, t, u_grid, transition_method):
 
 def kernel_grid(m, N, t, u_max=None, du=0.005, transition_method="auto", certificate=None):
     """Sample the lag kernel on a uniform grid over [0, u_max].
+
+    Finite-N kernels take the transition route ``transition_method``:
+    ``"comm"`` (exponential of the integrated coefficient), ``"ode"``
+    (panel-accumulated RK4) or ``"auto"``, which picks one of the two by
+    probing the visited window for commutativity.
 
     When a stability certificate is attached, ``u_max`` may be omitted (it
     defaults to the lag at which the certified envelope's squared tail
@@ -319,8 +254,7 @@ def l2_distance(k1, k2):
         raise GridMismatchError("kernel grids are sampled on different lag grids")
     if not np.allclose(k1.u_grid, k2.u_grid, rtol=0.0, atol=1e-9):
         raise GridMismatchError("kernel grids are sampled on different lag grids")
-    diff = (k1.values - k2.values) ** 2
-    return float(np.sqrt(k1.du * (diff.sum() - 0.5 * (diff[0] + diff[-1]))))
+    return float(np.sqrt(trapezoid((k1.values - k2.values) ** 2, k1.du)))
 
 
 def convergence_diagnostic(m, t, N_list, u_max, du=0.005, transition_method="auto"):
@@ -332,22 +266,15 @@ def convergence_diagnostic(m, t, N_list, u_max, du=0.005, transition_method="aut
     unverified.  The report passes when the distances are non-increasing
     after the first entry and the final one is below a tenth of the first.
     """
-    from .stability import eigen_bound_check, lambda_max_check
+    from .stability import auto_certificate
 
     n_values = _check_n_list(N_list)
     window = (t - u_max / min(n_values), t)
-    cert = lambda_max_check(m.A, window)
+    cert = auto_certificate(m.A, window)
     if cert.passed:
-        precondition = f"verified (lambda_max route: gamma={cert.gamma:.3g}, lam={cert.lam:.3g})"
+        precondition = f"verified ({cert.route} route: gamma={cert.gamma:.3g}, lam={cert.lam:.3g})"
     else:
-        try:
-            cert2 = eigen_bound_check(m.A, window)
-        except SmoothnessError:
-            cert2 = None
-        if cert2 is not None and cert2.passed:
-            precondition = f"verified (eigen route: gamma={cert2.gamma:.3g}, lam={cert2.lam:.3g})"
-        else:
-            precondition = "unverified-preconditions"
+        precondition = "unverified-preconditions"
     limit = kernel_grid(m, "limit", t, u_max, du, transition_method)
     rows = []
     for N in n_values:

@@ -1,4 +1,4 @@
-"""Fixed-grid quadrature helpers (composite Simpson, cumulative forms).
+"""Fixed-grid quadrature helpers (trapezoid, composite Simpson, cumulative forms).
 
 All routines work on uniform node grids.  Integrands with known interior
 breakpoints are handled by partitioning the interval and chaining the
@@ -17,6 +17,14 @@ def trapezoid(y, dx):
     if y.shape[0] < 2:
         return np.zeros(y.shape[1:], dtype=y.dtype) if y.ndim > 1 else 0.0
     return dx * (y.sum(axis=0) - 0.5 * (y[0] + y[-1]))
+
+
+def trapezoid_weights(n, h):
+    """Weights of the composite trapezoid rule on ``n`` nodes spaced ``h`` apart."""
+    weights = np.full(n, h)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return weights
 
 
 def composite_simpson(f, a, b, panels):

@@ -19,14 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    PostconditionError,
-    PreconditionError,
-    SmoothnessError,
-    TruncationWarning,
-)
+from .errors import PostconditionError, PreconditionError, TruncationWarning
 from .kernels import _check_n, _check_n_list, _grid_steps, kernel_grid
 from .model import sup_norm
+from .quadrature import trapezoid, trapezoid_weights
 
 __all__ = [
     "GridConfig",
@@ -110,13 +106,6 @@ _UNIFORM_RTOL = 1e-12
 # The chirp-z postcondition: spot values agree with the dense sum to this
 # fraction of max |result|.
 _CHIRP_CHECK_RTOL = 1e-9
-
-
-def _trapezoid_weights(n, h):
-    weights = np.full(n, h)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return weights
 
 
 def _uniform_step(grid):
@@ -205,7 +194,7 @@ def transfer_function(kern, lambda_grid):
     u = kern.u_grid
     if u[0] != 0.0:
         raise PreconditionError("transfer_function expects a causal grid starting at lag 0")
-    return _fourier_sum(u, _trapezoid_weights(len(u), kern.du) * kern.values, lam)
+    return _fourier_sum(u, trapezoid_weights(len(u), kern.du) * kern.values, lam)
 
 
 def spectral_density(m, t, lambda_grid, config=None):
@@ -241,8 +230,7 @@ def covariance(m, N, t1, t2, config=None):
         k1 = kernel_grid(m, N, t1, n1 * du, du, config.transition_method)
         vals1 = np.interp(shift + k2.u_grid, k1.u_grid, k1.values)
         integrand = vals1 * k2.values
-    total = du * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-    return float(m.levy.sigma_l * total)
+    return float(m.levy.sigma_l * trapezoid(integrand, du))
 
 
 def wigner_ville(m, N, t, lambda_grid, config=None):
@@ -276,7 +264,7 @@ def wigner_ville(m, N, t, lambda_grid, config=None):
             TruncationWarning)
     s_full = np.concatenate([-s_grid[:0:-1], s_grid])
     c_full = np.concatenate([c_vals[:0:-1], c_vals])
-    vals = _fourier_sum(s_full, _trapezoid_weights(len(s_full), ds) * c_full, lam)
+    vals = _fourier_sum(s_full, trapezoid_weights(len(s_full), ds) * c_full, lam)
     vals /= 2.0 * np.pi
     scale = np.abs(vals.real).max()
     if np.abs(vals.imag).max() > 1e-8 * max(scale, 1e-300):
@@ -289,9 +277,7 @@ def _spectrum_l2(grid_a, grid_b):
     la, lb = grid_a.lambda_grid, grid_b.lambda_grid
     if len(la) != len(lb) or not np.allclose(la, lb, rtol=0.0, atol=1e-9):
         raise PreconditionError("spectrum grids must share the frequency grid")
-    dl = la[1] - la[0]
-    diff = (grid_a.values - grid_b.values) ** 2
-    return float(np.sqrt(dl * (diff.sum() - 0.5 * (diff[0] + diff[-1]))))
+    return float(np.sqrt(trapezoid((grid_a.values - grid_b.values) ** 2, la[1] - la[0])))
 
 
 def wv_convergence(m, t, lambda_grid, N_list, config=None):
@@ -304,7 +290,7 @@ def wv_convergence(m, t, lambda_grid, N_list, config=None):
     distances after the first entry with the final below a tenth of the
     first.
     """
-    from .stability import eigen_bound_check, lambda_max_check
+    from .stability import auto_certificate
 
     n_values = _check_n_list(N_list)
     config = config or GridConfig()
@@ -312,15 +298,8 @@ def wv_convergence(m, t, lambda_grid, N_list, config=None):
     s_max = config.resolved_s_max()
     u_max = config.resolved_u_max()
     window = (t - (s_max / 2.0 + s_max + u_max) / n_min, t + s_max / (2.0 * n_min))
-    cert = config.certificate
-    if cert is None:
-        cert = lambda_max_check(m.A, window)
-        if not cert.passed:
-            try:
-                cert = eigen_bound_check(m.A, window)
-            except SmoothnessError:
-                pass
-    if cert is not None and getattr(cert, "passed", False):
+    cert = config.certificate or auto_certificate(m.A, window)
+    if cert.passed:
         b_sup = sup_norm(m.B, window[0], window[1])
         c_sup = sup_norm(m.C, window[0], window[1])
         conditions = (f"verified ({cert.route}: gamma={cert.gamma:.3g}, lam={cert.lam:.3g}; "

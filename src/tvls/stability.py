@@ -14,6 +14,9 @@ Three routes produce one:
   propagator is the exponential of the averaged coefficient, whose
   eigen-decomposition gives the bound directly.
 
+``auto_certificate`` tries the three routes in that order and returns the
+first certificate that passes.
+
 The second half of the module deals with time-varying observable forms:
 controllability matrices built from the iterated operator K -> -A K + K',
 the row-by-row change of basis that carries a state-space model to companion
@@ -39,6 +42,7 @@ __all__ = [
     "lambda_max_check",
     "eigen_bound_check",
     "commutative_route_check",
+    "auto_certificate",
     "controllability_matrix",
     "instantaneous_controllability",
     "carma_transform",
@@ -98,9 +102,10 @@ def _window_grid(A, lo, hi, n):
 
 
 def _prefix_integral(vals, taus):
-    """Cumulative trapezoid of a scalar sequence on a sorted grid."""
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(taus)
-    return np.concatenate([[0.0], np.cumsum(increments)])
+    """Cumulative trapezoid along axis 0 of values sampled on a sorted grid."""
+    widths = np.diff(taus).reshape((-1,) + (1,) * (vals.ndim - 1))
+    increments = 0.5 * (vals[1:] + vals[:-1]) * widths
+    return np.concatenate([np.zeros((1,) + vals.shape[1:]), np.cumsum(increments, axis=0)])
 
 
 def lambda_max_check(A, window, grid_points=129, n_list=None):
@@ -224,9 +229,7 @@ def commutative_route_check(A, window, grid_points=33, tol=1e-8):
             checked_window=(lo, hi),
             hint="use lambda_max_check or eigen_bound_check for non-commuting families")
     fine = _window_grid(A, lo, hi, 513)
-    vals = A.eval_array(fine)
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(fine)[:, None, None]
-    prefix = np.concatenate([np.zeros((1,) + vals.shape[1:]), np.cumsum(increments, axis=0)])
+    prefix = _prefix_integral(A.eval_array(fine), fine)
     width = hi - lo
     anchors = np.linspace(lo, hi, 9)[:-1]
     seps = width / 256.0 * (2.0 ** np.arange(0, 9))
@@ -268,6 +271,26 @@ def commutative_route_check(A, window, grid_points=33, tol=1e-8):
         checked_window=(lo, hi), grid_points=grid_points,
         details={"max_commutator": float(rep.max_violation),
                  "sup_eigvec_cond": float(sup_cond), "pairs": pairs})
+
+
+def auto_certificate(A, window):
+    """The first passing certificate of the lambda_max, eigen and commutative routes.
+
+    A route that does not apply to the family (``SmoothnessError``) is
+    skipped.  When no route passes, the lambda_max failure is returned for
+    its reason.
+    """
+    first = lambda_max_check(A, window)
+    if first.passed:
+        return first
+    for check in (eigen_bound_check, commutative_route_check):
+        try:
+            cert = check(A, window)
+        except SmoothnessError:
+            continue
+        if cert.passed:
+            return cert
+    return first
 
 
 # ---------------------------------------------------------------------------

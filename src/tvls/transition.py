@@ -154,6 +154,8 @@ def peano_baker(A, s0, s, tol=1e-12, max_terms=64):
     """
     if s < s0:
         raise PreconditionError("peano_baker requires s >= s0")
+    if not tol > 0:
+        raise PreconditionError(f"peano_baker needs a positive tol, got {tol!r}")
     if s == s0:
         return _identity_result(A, "peano_baker")
     p = A.shape[0]
@@ -278,6 +280,21 @@ def check_commutativity(A, interval, grid_points=33, tol=1e-8):
         max_violation = max(max_violation, float(np.sqrt((comm2**2).sum(axis=(1, 2))).max()))
     return CommutativityReport(max_violation <= tol, max_violation,
                                (lo, hi), grid_points, tol)
+
+
+def _resolve_route(A, interval):
+    """The route ``"auto"`` takes for the transition of A on ``interval``.
+
+    Continuous scalar families commute, and so does any family whose
+    commutators vanish (to 1e-10) on a 17-point probe: both take the exact
+    exponential-of-integral route, ``"comm"``.  Every other family takes the
+    Runge-Kutta route, ``"ode"``.
+    """
+    if A.shape[0] == 1 and A.is_continuous:
+        return "comm"
+    if check_commutativity(A, interval, 17, 1e-10).passes:
+        return "comm"
+    return "ode"
 
 
 def commutative_transition(A, s0, s, tol=1e-8):

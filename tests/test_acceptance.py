@@ -24,6 +24,7 @@ from tvls.model import (
 from tvls.simulate import empirical_covariance, simulate_paths
 from tvls.spectral import GridConfig, covariance, transfer_function, wigner_ville, wv_convergence
 from tvls.stability import (
+    auto_certificate,
     carma_transform,
     commutative_route_check,
     eigen_bound_check,
@@ -38,13 +39,6 @@ from tvls.transition import ode_transition, peano_baker
 def _announce(capsys, num, name, ok):
     with capsys.disabled():
         print(f"\nACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}")
-
-
-def _auto_certificate(A, window):
-    cert = lambda_max_check(A, window)
-    if not cert.passed:
-        cert = eigen_bound_check(A, window)
-    return cert
 
 
 def test_acceptance_01_stationary_collapse(car1, capsys):
@@ -269,7 +263,7 @@ def test_acceptance_10_plancherel(car1, tvcar1, diag_fixture, companion_fixture,
     mu = np.arange(-25600, 25601) * d_mu  # |mu| <= 256
     worst_rel = 0.0
     for m, t in cases:
-        cert = _auto_certificate(m.A, (t - 1.0, t))
+        cert = auto_certificate(m.A, (t - 1.0, t))
         kern = kernel_grid(m, "limit", t, u_max=cert.default_u_max())
         mass_time = kern.l2_mass()
         sq = np.abs(transfer_function(kern, mu))**2

@@ -105,7 +105,6 @@ def test_spectrum_row_count_and_manifest_file(tmp_path, car1_file):
     assert manifest["parameters"]["lmax"] == 5.0
     assert isinstance(manifest["version"], str)
     assert "argv_resolved" in manifest and manifest["argv_resolved"][0] == "spectrum"
-    assert "threads" in manifest
 
 
 def test_spectrum_stdout_with_stderr_manifest(capsys, car1_file):
@@ -205,6 +204,22 @@ def test_stability_auto_passes_constant_model(car1_file, capsys):
     assert report["window"] == [0.0, 1.0]
 
 
+def test_stability_auto_reports_the_lambda_max_failure(tmp_path, capsys):
+    path = write_model(tmp_path, "unstable.json", UNSTABLE)
+    assert dispatch(["stability", "--model", path, "--window", "0,1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["route"] == "lambda_max"
+
+
+def test_stability_empty_window_exits_2(car1_file, capsys):
+    code = dispatch(["stability", "--model", car1_file, "--window", "1,0"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "PreconditionError"
+    assert err["error"] == "stability window must have positive length"
+
+
 def test_transition_matches_hand_integral(tvcar1_file, capsys):
     code = dispatch(["transition", "--model", tvcar1_file,
                      "--s0", "0", "--s", "1"])
@@ -227,6 +242,15 @@ def test_transition_methods_agree(tvcar1_file, capsys):
         values[method] = json.loads(out)["matrix"][0][0]
     assert abs(values["pb"] - values["comm"]) < 1e-8
     assert abs(values["ode"] - values["comm"]) < 1e-8
+
+
+def test_transition_series_zero_tol_exits_2(tvcar1_file, capsys):
+    code = dispatch(["transition", "--model", tvcar1_file, "--s0", "0", "--s", "1",
+                     "--method", "pb", "--tol", "0"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "PreconditionError"
+    assert "tol" in err["error"]
 
 
 def test_converge_matches_library_bit_for_bit(tmp_path, tvcar1_file):
@@ -537,12 +561,52 @@ def test_internal_error_exits_1(monkeypatch, car1_file, capsys):
     assert "boom" in err["error"]
 
 
-def test_threads_env_recorded_in_manifest(monkeypatch, car1_file, capsys):
-    monkeypatch.setenv("TVLS_THREADS", "7")
-    code = dispatch(["stability", "--model", car1_file, "--window", "0,1"])
-    assert code == 0
-    manifest_line = json.loads(capsys.readouterr().err.strip())
-    assert manifest_line["manifest"]["threads"] == "7"
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--N", "4", "--t={}", "--umax", "2"],
+    ["spectrum", "--t={}", "--lmax", "1", "--dl", "0.5", "--umax", "2"],
+    ["wigner", "--N", "4", "--t", "0", "--lmax", "1", "--dl", "0.5", "--umax={}",
+     "--smax", "4"],
+    ["simulate", "--N", "2", "--t0", "0", "--t1", "1", "--dt={}", "--burn-in", "1"],
+    ["transition", "--s0", "0", "--s", "1", "--method", "pb", "--tol={}"],
+    ["control", "--t={}"],
+    ["equiv", "--model2", "{model}", "--t={}"],
+])
+def test_non_finite_float_flags_are_usage_errors(car1_file, capsys, argv, value):
+    # "--flag=value", since argparse reads a bare "-inf" as an option
+    argv = [a.format(value, model=car1_file) for a in argv]
+    code = dispatch([argv[0], "--model", car1_file, *argv[1:]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["type"] == "usage"
+    assert "finite" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--window", "0,inf"],
+    ["stability", "--window", "nan,1"],
+    ["stability", "--window", "0,1,2"],
+    ["control", "--tgrid", "nan,1"],
+])
+def test_bad_number_lists_exit_2(car1_file, capsys, argv):
+    assert dispatch([argv[0], "--model", car1_file, *argv[1:]]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "PreconditionError"
+    assert argv[1][2:] in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--N", "4", "--t", "0", "--umax", "2", "--method", "pb"],
+    ["converge", "--Ns", "1,2", "--t", "0", "--umax", "2", "--method", "pb"],
+    ["wigner", "--N", "4", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "pb"],
+    ["wvconv", "--Ns", "1,2", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "pb"],
+    ["spectrum", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "auto"],
+])
+def test_removed_method_choices_are_usage_errors(car1_file, capsys, argv):
+    assert dispatch([argv[0], "--model", car1_file, *argv[1:]]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["type"] == "usage"
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,6 @@
 """Tests for lag kernels, kernel grids, and the convergence diagnostic."""
 
+import json
 import math
 
 import numpy as np
@@ -19,14 +20,21 @@ from tvls import (
     Step,
     TailMassWarning,
     car1_kernel,
-    car1_limit_kernel,
     convergence_diagnostic,
     kernel_grid,
     l2_distance,
     lambda_max_check,
-    statespace_kernel,
+    peano_baker,
 )
+from tvls.cli import dispatch
 from tvls.model import sup_norm
+from tvls.transition import _resolve_route
+
+
+def _scalar_model(a):
+    """dX = -a(.) X dt + L(dt), Y = X."""
+    return StateSpaceModel(1, MatrixFunction([[a.negated()]], what="A"),
+                           [1.0], [1.0], {"brownian_variance": 1.0})
 
 
 # ------------------------------------------------------------ car1 kernels
@@ -39,8 +47,8 @@ def test_car1_constant_damping():
             assert car1_kernel(a, N, 0.3, u) == pytest.approx(math.exp(-u), abs=1e-12)
     assert car1_kernel(a, 1, 0.0, 0.0) == 1.0
     assert car1_kernel(a, 1, 0.0, -0.5) == 0.0
-    assert car1_limit_kernel(a, 0.0, 2.0) == pytest.approx(math.exp(-2.0))
-    assert car1_limit_kernel(a, 0.0, -1.0) == 0.0
+    limit = kernel_grid(_scalar_model(a), "limit", 0.0, u_max=2.0, du=0.5)
+    assert limit.values[-1] == pytest.approx(math.exp(-2.0))
 
 
 def test_car1_sinusoidal_closed_form():
@@ -55,10 +63,8 @@ def test_car1_sinusoidal_closed_form():
 def test_car1_limit_is_frozen_coefficient():
     a = Sinusoidal(1.0, 0.5, 1.0, 0.0)
     t = 0.7
-    u = np.array([-1.0, 0.0, 0.5, 2.0])
-    vals = car1_limit_kernel(a, t, u)
-    expected = np.where(u >= 0, np.exp(-a.value(t) * np.maximum(u, 0.0)), 0.0)
-    assert np.allclose(vals, expected, atol=1e-14)
+    grid = kernel_grid(_scalar_model(a), "limit", t, u_max=2.0, du=0.5)
+    assert np.allclose(grid.values, np.exp(-a.value(t) * grid.u_grid), atol=1e-14)
 
 
 def test_car1_rejects_discontinuous_damping():
@@ -84,55 +90,76 @@ def test_statespace_matches_car1():
         w = rng.uniform(0.5, 3.0)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         a = Sinusoidal(a0, a1, w, phi)
-        m = StateSpaceModel(1, MatrixFunction([[a.negated()]], what="A"),
-                            [1.0], [1.0], {"brownian_variance": 1.0})
         N = int(rng.integers(1, 50))
         t = rng.uniform(-1.0, 1.0)
         u = rng.uniform(0.0, 4.0)
-        assert statespace_kernel(m, N, t, u) == pytest.approx(
-            car1_kernel(a, N, t, u), abs=1e-12)
+        # A lag step of u / (2 P), with P the Simpson panels car1_kernel uses
+        # at lag u, puts both on the same quadrature nodes at the last lag.
+        panels = max(32, int(np.ceil(u / 0.05)))
+        grid = kernel_grid(_scalar_model(a), N, t, u_max=u, du=u / (2 * panels))
+        assert grid.values[-1] == pytest.approx(
+            car1_kernel(a, N, t, grid.u_grid[-1]), abs=1e-12)
 
 
 def test_limit_kernel_equal_across_representations(diag_fixture, companion_fixture):
     # both realizations share the limit kernel e^{-2u} + e^{-3u}
-    for u in (0.0, 0.4, 1.0, 2.5):
-        exact = math.exp(-2.0 * u) + math.exp(-3.0 * u)
-        g1 = statespace_kernel(diag_fixture, "limit", 0.0, u)
-        g2 = statespace_kernel(companion_fixture, "limit", 0.0, u)
-        assert g1 == pytest.approx(exact, abs=1e-10)
-        assert g2 == pytest.approx(exact, abs=1e-10)
-    assert statespace_kernel(diag_fixture, "limit", 0.0, -1.0) == 0.0
+    g1 = kernel_grid(diag_fixture, "limit", 0.0, u_max=2.5, du=0.1)
+    g2 = kernel_grid(companion_fixture, "limit", 0.0, u_max=2.5, du=0.1)
+    exact = np.exp(-2.0 * g1.u_grid) + np.exp(-3.0 * g1.u_grid)
+    assert np.abs(g1.values - exact).max() < 1e-10
+    assert np.abs(g2.values - exact).max() < 1e-10
 
 
 def test_finite_n_equals_limit_for_constant_models(diag_fixture):
     fin = kernel_grid(diag_fixture, 3, 0.0, u_max=4.0)
     lim = kernel_grid(diag_fixture, "limit", 0.0, u_max=4.0)
     assert np.abs(fin.values - lim.values).max() < 1e-9
-    # pointwise too
-    for u in (0.3, 1.1):
-        assert statespace_kernel(diag_fixture, 7, 0.0, u) == pytest.approx(
+    # and at a coarse lag step, against the closed form
+    grid = kernel_grid(diag_fixture, 7, 0.0, u_max=1.1, du=0.1)
+    for j in (3, 11):
+        u = grid.u_grid[j]
+        assert grid.values[j] == pytest.approx(
             math.exp(-2.0 * u) + math.exp(-3.0 * u), abs=1e-9)
 
 
-def test_statespace_kernel_u_zero_and_methods(companion_fixture, noncomm_family):
-    assert statespace_kernel(companion_fixture, 5, 0.0, 0.0) == pytest.approx(2.0)
+def _panel_product(m, N, t, u_grid, panel):
+    """Reference finite-N kernel B(t)' Psi(0, -u_j) C(t - u_j/N), with Psi
+    accumulated one lag panel at a time from ``panel(shifted, j)``, the
+    propagator over s in [-u_{j+1}, -u_j]."""
+    shifted = m.A.reparametrized(t, 1.0 / N)
+    c_vals = m.C.eval_array(t - u_grid / N)[:, :, 0]
+    row = m.B.eval_vec(t)
+    values = [row @ c_vals[0]]
+    for j in range(len(u_grid) - 1):
+        row = row @ panel(shifted, j)
+        values.append(row @ c_vals[j + 1])
+    return np.array(values)
+
+
+def _pb_panel_loop(m, N, t, u_grid):
+    """Reference finite-N kernel from one Peano-Baker series per lag panel."""
+    return _panel_product(m, N, t, u_grid, lambda shifted, j: peano_baker(
+        shifted, -u_grid[j + 1], -u_grid[j], tol=1e-12).value)
+
+
+def test_kernel_grid_u_zero_and_methods(companion_fixture, noncomm_family):
+    assert kernel_grid(companion_fixture, 5, 0.0, u_max=1.0).values[0] == pytest.approx(2.0)
     m = StateSpaceModel(2, noncomm_family, [1.0, 0.0], [0.0, 1.0],
                         {"brownian_variance": 1.0})
-    pb = statespace_kernel(m, 2, 0.0, 1.5, transition_method="pb")
-    ode = statespace_kernel(m, 2, 0.0, 1.5, transition_method="ode")
-    assert pb == pytest.approx(ode, abs=1e-8)
-    with pytest.raises(PreconditionError):
-        statespace_kernel(m, 2, 0.0, 1.5, transition_method="comm")
-    with pytest.raises(PreconditionError):
-        statespace_kernel(m, 2, 0.0, 1.5, transition_method="magic")
+    ode = kernel_grid(m, 2, 0.0, u_max=1.5, du=0.5, transition_method="ode")
+    psi = peano_baker(m.A.reparametrized(0.0, 0.5), -1.5, 0.0).value
+    assert ode.values[-1] == pytest.approx(
+        m.B.eval_vec(0.0) @ psi @ m.C.eval_vec(-0.75), abs=1e-8)
+    for method in ("pb", "magic"):
+        with pytest.raises(PreconditionError):
+            kernel_grid(m, 2, 0.0, u_max=1.5, transition_method=method)
 
 
 def test_grid_routes_agree_on_noncommutative_model(noncomm_family):
     m = StateSpaceModel(2, noncomm_family, [1.0, 0.0], [0.0, 1.0],
                         {"brownian_variance": 1.0})
-    g_pb = kernel_grid(m, 2, 0.0, u_max=3.0, du=0.01, transition_method="pb")
     g_ode = kernel_grid(m, 2, 0.0, u_max=3.0, du=0.01, transition_method="ode")
-    assert np.abs(g_pb.values - g_ode.values).max() < 1e-8
+    assert np.abs(_pb_panel_loop(m, 2, 0.0, g_ode.u_grid) - g_ode.values).max() < 1e-8
 
 
 def _finite_grid_loop(m, N, t, u_grid, rk4_step_loop):
@@ -140,17 +167,15 @@ def _finite_grid_loop(m, N, t, u_grid, rk4_step_loop):
     from the scalar step loop, on the same stage grid as the package."""
     du = u_grid[1] - u_grid[0]
     shifted = m.A.reparametrized(t, 1.0 / N)
-    c_vals = m.C.eval_array(t - u_grid / N)[:, :, 0]
     n_panels = len(u_grid) - 1
     n_sub = max(1, int(np.ceil(du * max(1.0, sup_norm(shifted, -u_grid[-1], 0.0)) / 0.05)))
     a_stage = shifted.eval_array(np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1))
-    row = m.B.eval_vec(t)
-    values = [row @ c_vals[0]]
-    for j in range(n_panels):
+
+    def panel(_, j):
         base = (n_panels - 1 - j) * 2 * n_sub
-        row = row @ rk4_step_loop(a_stage[base:base + 2 * n_sub + 1], du / n_sub)
-        values.append(row @ c_vals[j + 1])
-    return np.array(values)
+        return rk4_step_loop(a_stage[base:base + 2 * n_sub + 1], du / n_sub)
+
+    return _panel_product(m, N, t, u_grid, panel)
 
 
 def test_finite_grid_matches_scalar_panel_loop(drifting_companion, rk4_step_loop):
@@ -183,6 +208,28 @@ def test_auto_route_commutative_p2():
         scalar1 = car1_kernel(f1.negated(), N, t, u)
         scalar2 = math.exp(-2.0 * u)
         assert grid.values[j] == pytest.approx(scalar1 + scalar2, abs=1e-7)
+
+
+def test_every_caller_resolves_the_same_route(tvcar1, drifting_companion, tmp_path, capsys):
+    diagonal = MatrixFunction([[Sinusoidal(-1.0, 0.25, 2.0, 0.0), 0.0], [0.0, -2.0]], what="A")
+    cases = [
+        (tvcar1, "comm"),
+        (StateSpaceModel(2, diagonal, [1.0, 1.0], [1.0, 1.0], {"brownian_variance": 1.0}), "comm"),
+        (drifting_companion, "ode"),
+        (_scalar_model(Step(0.2, 1.0, 2.0)), "comm"),  # jumps inside the visited window
+    ]
+    N, t, u_max = 4, 0.3, 3.0
+    for m, expected in cases:
+        assert _resolve_route(m.A.reparametrized(t, 1.0 / N), (-u_max, 0.0)) == expected
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(m.to_json()))
+        assert dispatch(["transition", "--model", str(path), "--s0", repr(t - u_max / N),
+                         "--s", repr(t), "--method", "auto"]) == 0
+        method = json.loads(capsys.readouterr().out)["method"]
+        assert method == {"comm": "commutative_exp", "ode": "ode"}[expected]
+        auto = kernel_grid(m, N, t, u_max=u_max, du=0.01)
+        explicit = kernel_grid(m, N, t, u_max=u_max, du=0.01, transition_method=expected)
+        assert np.array_equal(auto.values, explicit.values)
 
 
 def test_limit_grid_defective_state_matrix():

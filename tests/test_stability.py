@@ -15,6 +15,8 @@ from tvls import (
     StabilityCertificate,
     StateSpaceModel,
     Step,
+    TvlsError,
+    auto_certificate,
     carma_transform,
     commutative_route_check,
     controllability_matrix,
@@ -198,6 +200,72 @@ def test_commutative_route_rejects_antistable():
     fail = commutative_route_check(A, (0.0, 2.0))
     assert not fail.passed
     assert fail.sup_lambda_max == pytest.approx(0.5)
+
+
+# ------------------------------------------------------- auto certificate
+
+
+def _two_route_chain(A, window):
+    """The lambda_max -> eigen chain that kernels, spectral and the CLI each
+    used to write out: the first pass, else the lambda_max failure."""
+    cert = lambda_max_check(A, window)
+    if cert.passed:
+        return cert
+    try:
+        cert2 = eigen_bound_check(A, window)
+    except SmoothnessError:
+        return cert
+    return cert2 if cert2.passed else cert
+
+
+def _stability_loop(A, window):
+    """The old ``tvls stability --route auto`` loop: every route in turn,
+    skipping any that raises, up to the first pass."""
+    result = None
+    for check in (lambda_max_check, eigen_bound_check, commutative_route_check):
+        try:
+            result = check(A, window)
+        except TvlsError:
+            continue
+        if result.passed:
+            break
+    return result
+
+
+def test_auto_certificate_matches_the_old_chains(car1, tvcar1, sin_car1, diag_fixture,
+                                                 companion_fixture, drifting_companion):
+    scaled = [[Step(0.5, -1.0, -2.0), Step(0.5, 4.0, 8.0)],
+              [0.0, Step(0.5, -2.0, -4.0)]]  # s(t) [[-1, 4], [0, -2]]: steps, commuting
+    cases = [
+        (car1.A, (-1.0, 1.0)), (tvcar1.A, (-1.0, 0.0)), (tvcar1.A, (-10.0, 0.0)),
+        (sin_car1.A, (-0.7, 0.3)), (diag_fixture.A, (-5.0, 0.0)),
+        (companion_fixture.A, (0.0, 1.0)), (drifting_companion.A, (-1.25, 1.0)),
+        (MatrixFunction([[Sinusoidal(-1.0, 1.5, 1.0, 0.0)]], what="A"), (0.0, 2.0 * np.pi)),
+        (MatrixFunction([[Step(0.5, -1.0, -2.0)]], what="A"), (0.0, 1.0)),
+        (MatrixFunction([[Sinusoidal(-1.0, 0.25, 2.0, 0.0), 0.0], [0.0, -2.0]], what="A"),
+         (0.0, 4.0)),
+        (MatrixFunction(scaled, what="A"), (0.0, 1.0)),
+    ]
+    routes = []
+    for A, window in cases:
+        cert = auto_certificate(A, window)
+        assert cert.passed
+        routes.append(cert.route)
+        for old in (_two_route_chain(A, window), _stability_loop(A, window)):
+            if old.passed:
+                assert (old.route, old.gamma, old.lam) == (cert.route, cert.gamma, cert.lam)
+    assert routes[5:7] == ["eigen_bound"] * 2
+    assert routes[-1] == "commutative"  # lambda_max fails, eigen does not apply
+
+
+def test_auto_certificate_failure_is_the_lambda_max_one():
+    A = MatrixFunction([[0.5]], what="A")
+    fail = auto_certificate(A, (0.0, 1.0))
+    assert not fail.passed
+    assert fail.route == "lambda_max"
+    assert fail.reason == lambda_max_check(A, (0.0, 1.0)).reason
+    with pytest.raises(PreconditionError, match="positive length"):
+        auto_certificate(A, (1.0, 0.0))
 
 
 # ------------------------------------------------------------ certificates

@@ -147,6 +147,13 @@ def test_peano_baker_divergence_reports_norms():
     assert all(n > 0 for n in exc.value.term_norms)
 
 
+def test_peano_baker_rejects_non_positive_tol(constant_family):
+    # no term norm can drop below tol <= 0, so the series would run out of terms
+    for tol in (0.0, -1e-12, float("nan")):
+        with pytest.raises(PreconditionError, match="tol"):
+            peano_baker(constant_family, 0.0, 1.0, tol=tol)
+
+
 def test_peano_baker_step_crossing():
     # piecewise-constant scalar: exp integrates exactly on each side
     a = Step(1.0, -1.0, -2.0)
