@@ -19,12 +19,7 @@ from .errors import (
     TailMassWarning,
     TruncationWarning,
 )
-from .levy import (
-    LevyModel,
-    characteristic_exponent,
-    sample_increments,
-    refine_increments,
-)
+from .levy import LevyModel
 from .model import (
     ScalarFunction,
     Constant,
@@ -78,4 +73,4 @@ from .stability import (
     transfer_equivalence,
     structural_break_gap,
 )
-from .simulate import PathSample, PathEnsemble, simulate_path, simulate_paths, empirical_covariance
+from .simulate import PathEnsemble, simulate_paths, empirical_covariance

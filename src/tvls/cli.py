@@ -240,12 +240,11 @@ def _cmd_kernel(args):
     if umax is None:
         cert = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
         umax = cert.default_u_max()
-    grid = kernel_grid(m, n, args.t, u_max=umax, du=args.du,
-                       transition_method=args.method)
+    grid = kernel_grid(m, n, args.t, u_max=umax, du=args.du)
     _write_csv(zip(grid.u_grid, grid.values), args.out)
     return {
         "model": args.model, "t": args.t, "N": args.N, "umax": float(umax),
-        "du": args.du, "method": args.method, "out": args.out}, None
+        "du": args.du, "out": args.out}, {"route": grid.route}
 
 
 def _cmd_converge(args):
@@ -255,12 +254,11 @@ def _cmd_converge(args):
     if umax is None:
         cert = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
         umax = cert.default_u_max()
-    report = convergence_diagnostic(m, args.t, n_list, umax, du=args.du,
-                                    transition_method=args.method)
+    report = convergence_diagnostic(m, args.t, n_list, umax, du=args.du)
     _write_csv(report.rows, args.out)
     return {
         "model": args.model, "t": args.t, "Ns": args.Ns, "umax": float(umax),
-        "du": args.du, "method": args.method, "out": args.out}, None
+        "du": args.du, "out": args.out}, None
 
 
 def _cmd_spectrum(args):
@@ -278,8 +276,7 @@ def _cmd_spectrum(args):
 
 
 def _wv_config(m, args):
-    config = GridConfig(u_max=args.umax, du=args.du, s_max=args.smax,
-                        ds=args.ds, transition_method=args.method)
+    config = GridConfig(u_max=args.umax, du=args.du, s_max=args.smax, ds=args.ds)
     if args.umax is None or args.smax is None:
         config.certificate = _require_certificate(
             m.A, (args.t - 1.0, args.t), "--umax/--smax")
@@ -296,7 +293,7 @@ def _cmd_wigner(args):
     return {
         "model": args.model, "t": args.t, "N": args.N, "lmax": args.lmax,
         "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "method": args.method, "out": args.out}, resolved
+        "du": args.du, "out": args.out}, resolved
 
 
 def _cmd_wvconv(args):
@@ -310,7 +307,7 @@ def _cmd_wvconv(args):
     return {
         "model": args.model, "t": args.t, "Ns": args.Ns, "lmax": args.lmax,
         "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "method": args.method, "out": args.out}, resolved
+        "du": args.du, "out": args.out}, resolved
 
 
 def _cmd_transition(args):
@@ -344,8 +341,7 @@ def _cmd_stability(args):
     lo, hi = window
     routes = {"auto": auto_certificate, "lambda_max": lambda_max_check,
               "eigen": eigen_bound_check, "comm": commutative_route_check}
-    route = {"a": "lambda_max", "b": "eigen"}.get(args.route, args.route)
-    result = routes[route](m.A, (lo, hi))
+    result = routes[args.route](m.A, (lo, hi))
     if result.passed:
         out_obj = {"passed": True, "route": result.route,
                    "gamma": result.gamma, "lam": result.lam,
@@ -358,7 +354,7 @@ def _cmd_stability(args):
                    "sup_lambda_max": result.sup_lambda_max}
     _write_json(out_obj, args.out)
     return {
-        "model": args.model, "window": args.window, "route": route,
+        "model": args.model, "window": args.window, "route": args.route,
         "out": args.out}, None
 
 
@@ -431,14 +427,12 @@ def _build_parser():
     sp.add_argument("--N", required=True, help="positive integer or 'limit'")
     sp.add_argument("--umax", type=_finite_float, default=None)
     sp.add_argument("--du", type=_finite_float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("converge", _cmd_converge, "kernel convergence in N (CSV: N,distance)")
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--Ns", required=True, help="comma-separated N values")
     sp.add_argument("--umax", type=_finite_float, default=None)
     sp.add_argument("--du", type=_finite_float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("spectrum", _cmd_spectrum, "limiting spectral density (CSV: lambda,f)")
     sp.add_argument("--t", type=_finite_float, required=True)
@@ -456,7 +450,6 @@ def _build_parser():
     sp.add_argument("--ds", type=_finite_float, default=0.05)
     sp.add_argument("--umax", type=_finite_float, default=None)
     sp.add_argument("--du", type=_finite_float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("wvconv", _cmd_wvconv, "spectrum convergence in N (CSV: N,distance)")
     sp.add_argument("--t", type=_finite_float, required=True)
@@ -467,7 +460,6 @@ def _build_parser():
     sp.add_argument("--ds", type=_finite_float, default=0.05)
     sp.add_argument("--umax", type=_finite_float, default=None)
     sp.add_argument("--du", type=_finite_float, default=0.005)
-    sp.add_argument("--method", default="auto", choices=["auto", "ode", "comm"])
 
     sp = add("transition", _cmd_transition, "transition matrix (JSON)")
     sp.add_argument("--s0", type=_finite_float, required=True)
@@ -478,9 +470,7 @@ def _build_parser():
 
     sp = add("stability", _cmd_stability, "stability certificate (JSON)")
     sp.add_argument("--window", required=True, help="'lo,hi'")
-    sp.add_argument("--route", default="auto",
-                    choices=["auto", "lambda_max", "eigen", "comm", "a", "b"],
-                    help="a is shorthand for lambda_max, b for eigen")
+    sp.add_argument("--route", default="auto", choices=["auto", "lambda_max", "eigen", "comm"])
 
     sp = add("control", _cmd_control, "instantaneous controllability (JSON)")
     sp.add_argument("--tgrid", default=None, help="comma-separated times")

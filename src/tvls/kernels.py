@@ -32,8 +32,6 @@ __all__ = [
     "convergence_diagnostic",
 ]
 
-_METHODS = ("auto", "ode", "comm")
-
 # Most points a lag, window, frequency or time grid may hold (16 MB of float64),
 # checked before the grid is allocated.
 MAX_GRID_POINTS = 2_000_000
@@ -45,7 +43,8 @@ class KernelGrid:
 
     ``gamma``/``lam`` hold an exponential envelope |g(t, u)| <=
     gamma e^{-lam u} inherited from a stability certificate, used for
-    tail-mass accounting.
+    tail-mass accounting.  ``route`` names the transition route of a finite-N
+    kernel (``"comm"`` or ``"ode"``); it is None for the limit kernel.
     """
 
     t: float
@@ -55,6 +54,7 @@ class KernelGrid:
     du: float
     gamma: float = None
     lam: float = None
+    route: str = None
 
     @property
     def u_max(self):
@@ -164,15 +164,12 @@ def _limit_grid_values(m, t, u_grid):
     return vals
 
 
-def _finite_grid_values(m, N, t, u_grid, transition_method):
+def _finite_grid_values(m, N, t, u_grid, route):
     du = u_grid[1] - u_grid[0]
     shifted = m.A.reparametrized(t, 1.0 / N)
     c_vals = m.C.eval_array(t - u_grid / N)[:, :, 0]
     bt = m.B.eval_vec(t)
-    method = transition_method
-    if method == "auto":
-        method = _resolve_route(shifted, (-u_grid[-1], 0.0))
-    if method == "comm":
+    if route == "comm":
         # Psi(0, -u) = exp(int_0^u A(t - x/N) dx), cumulatively over the grid.
         avals = shifted.eval_array(-u_grid)
         cum = cumulative_simpson(avals, du)
@@ -203,21 +200,18 @@ def _finite_grid_values(m, N, t, u_grid, transition_method):
     return values
 
 
-def kernel_grid(m, N, t, u_max=None, du=0.005, transition_method="auto", certificate=None):
+def kernel_grid(m, N, t, u_max=None, du=0.005, certificate=None):
     """Sample the lag kernel on a uniform grid over [0, u_max].
 
-    Finite-N kernels take the transition route ``transition_method``:
-    ``"comm"`` (exponential of the integrated coefficient), ``"ode"``
-    (panel-accumulated RK4) or ``"auto"``, which picks one of the two by
-    probing the visited window for commutativity.
+    Finite-N kernels take the transition route that probing the visited
+    window for commutativity picks: ``"comm"`` (exponential of the
+    integrated coefficient) or ``"ode"`` (panel-accumulated RK4).
 
     When a stability certificate is attached, ``u_max`` may be omitted (it
     defaults to the lag at which the certified envelope's squared tail
     drops to 1e-8) and the grid checks that the mass beyond u_max is
     negligible, warning otherwise.
     """
-    if transition_method not in _METHODS:
-        raise PreconditionError(f"transition_method must be one of {_METHODS}")
     N = _check_n(N)
     if u_max is None:
         if certificate is None:
@@ -228,10 +222,11 @@ def kernel_grid(m, N, t, u_max=None, du=0.005, transition_method="auto", certifi
     n = max(2, _grid_steps(u_max, du, "kernel_grid"))
     u_grid = np.arange(n + 1) * du
     if N == "limit":
-        values = _limit_grid_values(m, t, u_grid)
+        values, route = _limit_grid_values(m, t, u_grid), None
     else:
-        values = _finite_grid_values(m, N, t, u_grid, transition_method)
-    grid = KernelGrid(t=float(t), N=N, u_grid=u_grid, values=values, du=float(du))
+        route = _resolve_route(m.A.reparametrized(t, 1.0 / N), (-u_grid[-1], 0.0))
+        values = _finite_grid_values(m, N, t, u_grid, route)
+    grid = KernelGrid(t=float(t), N=N, u_grid=u_grid, values=values, du=float(du), route=route)
     if certificate is not None:
         lo = t - u_grid[-1] / N if N != "limit" else t
         c_sup = sup_norm(m.C, lo, t) if N != "limit" else float(np.linalg.norm(m.C.eval_vec(t)))
@@ -257,7 +252,18 @@ def l2_distance(k1, k2):
     return float(np.sqrt(trapezoid((k1.values - k2.values) ** 2, k1.du)))
 
 
-def convergence_diagnostic(m, t, N_list, u_max, du=0.005, transition_method="auto"):
+def _distances_converge(dists):
+    """The convergence verdict of both kernel and spectrum diagnostics.
+
+    Passes when the distances to the limit, in increasing N, are
+    non-increasing after the first entry and the final one is below a tenth
+    of the first.
+    """
+    tail_ok = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(1, len(dists) - 1))
+    return bool(len(dists) >= 2 and tail_ok and dists[-1] < 0.1 * dists[0])
+
+
+def convergence_diagnostic(m, t, N_list, u_max, du=0.005):
     """L2 distances between finite-N kernels and the limit kernel at t.
 
     Stability of the coefficient family is checked first on the window of
@@ -275,14 +281,12 @@ def convergence_diagnostic(m, t, N_list, u_max, du=0.005, transition_method="aut
         precondition = f"verified ({cert.route} route: gamma={cert.gamma:.3g}, lam={cert.lam:.3g})"
     else:
         precondition = "unverified-preconditions"
-    limit = kernel_grid(m, "limit", t, u_max, du, transition_method)
+    limit = kernel_grid(m, "limit", t, u_max, du)
     rows = []
     for N in n_values:
-        fin = kernel_grid(m, N, t, u_max, du, transition_method)
+        fin = kernel_grid(m, N, t, u_max, du)
         rows.append((N, l2_distance(fin, limit)))
-    dists = [d for _, d in rows]
-    tail_ok = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(1, len(dists) - 1))
-    passes = bool(len(dists) >= 2 and tail_ok and dists[-1] < 0.1 * dists[0])
+    passes = _distances_converge([d for _, d in rows])
     return ConvergenceReport(t=float(t), rows=rows, passes=passes,
                              precondition=precondition, window=window,
                              u_max=float(u_max), du=float(du))

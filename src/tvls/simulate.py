@@ -28,28 +28,13 @@ from .model import sup_norm
 from .transition import matrix_exp
 
 __all__ = [
-    "PathSample",
     "PathEnsemble",
     "CovarianceEstimate",
-    "simulate_path",
     "simulate_paths",
     "empirical_covariance",
 ]
 
 _CHUNK = 512
-
-
-@dataclass
-class PathSample:
-    """One simulated path observed on a rescaled time grid."""
-
-    t_grid: np.ndarray
-    observations: np.ndarray
-    states: np.ndarray  # (n_grid, p) or None when not stored
-    N: int
-    seed: int
-    path_index: int
-    burn_in: float
 
 
 @dataclass
@@ -66,12 +51,6 @@ class PathEnsemble:
     @property
     def n_paths(self):
         return self.observations.shape[0]
-
-    def path(self, i):
-        states = self.states[i] if self.states is not None else None
-        return PathSample(t_grid=self.t_grid, observations=self.observations[i],
-                          states=states, N=self.N, seed=self.seed,
-                          path_index=int(i), burn_in=self.burn_in)
 
 
 @dataclass
@@ -183,14 +162,6 @@ def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
 
     return PathEnsemble(t_grid=t_grid, observations=observations, states=states,
                         N=N, seed=int(seed), burn_in=burn_in)
-
-
-def simulate_path(m, N, t_grid, seed=0, certificate=None, burn_in=None):
-    """Simulate a single path, keeping the state vectors at grid times."""
-    ens = simulate_paths(m, N, t_grid, n_paths=1, seed=seed,
-                         certificate=certificate, burn_in=burn_in,
-                         store_states=True)
-    return ens.path(0)
 
 
 def _grid_index(grid, t):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostconditionError, PreconditionError, TruncationWarning
-from .kernels import _check_n, _check_n_list, _grid_steps, kernel_grid
+from .kernels import _check_n, _check_n_list, _distances_converge, _grid_steps, kernel_grid
 from .model import sup_norm
 from .quadrature import trapezoid, trapezoid_weights
 
@@ -49,7 +49,6 @@ class GridConfig:
     du: float = 0.005
     s_max: float = None
     ds: float = 0.05
-    transition_method: str = "auto"
     certificate: object = None
 
     def resolved_u_max(self):
@@ -201,7 +200,7 @@ def spectral_density(m, t, lambda_grid, config=None):
     """Limiting spectral density sigma_L/(2 pi) |A(t, mu)|^2 at time t."""
     config = config or GridConfig()
     kern = kernel_grid(m, "limit", t, config.resolved_u_max(), config.du,
-                       config.transition_method, certificate=config.certificate)
+                       certificate=config.certificate)
     lam = np.asarray(lambda_grid, dtype=float)
     tf = transfer_function(kern, lam)
     vals = m.levy.sigma_l / (2.0 * np.pi) * (tf.real**2 + tf.imag**2)
@@ -221,13 +220,13 @@ def covariance(m, N, t1, t2, config=None):
         t1, t2 = t2, t1
     u_max = config.resolved_u_max()
     du = config.du
-    k2 = kernel_grid(m, N, t2, u_max, du, config.transition_method)
+    k2 = kernel_grid(m, N, t2, u_max, du)
     shift = N * (t1 - t2)
     if shift == 0.0:
         integrand = k2.values**2
     else:
         n1 = int(np.ceil((shift + u_max) / du)) + 1
-        k1 = kernel_grid(m, N, t1, n1 * du, du, config.transition_method)
+        k1 = kernel_grid(m, N, t1, n1 * du, du)
         vals1 = np.interp(shift + k2.u_grid, k1.u_grid, k1.values)
         integrand = vals1 * k2.values
     return float(m.levy.sigma_l * trapezoid(integrand, du))
@@ -311,8 +310,6 @@ def wv_convergence(m, t, lambda_grid, N_list, config=None):
     for N in n_values:
         wv = wigner_ville(m, N, t, lambda_grid, config)
         rows.append((N, _spectrum_l2(wv, limit)))
-    dists = [d for _, d in rows]
-    tail_ok = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(1, len(dists) - 1))
-    passes = bool(len(dists) >= 2 and tail_ok and dists[-1] < 0.1 * dists[0])
+    passes = _distances_converge([d for _, d in rows])
     return WvConvergenceReport(t=float(t), rows=rows, passes=passes,
                                conditions=conditions, window=window)

@@ -108,7 +108,7 @@ def _prefix_integral(vals, taus):
     return np.concatenate([np.zeros((1,) + vals.shape[1:]), np.cumsum(increments, axis=0)])
 
 
-def lambda_max_check(A, window, grid_points=129, n_list=None):
+def lambda_max_check(A, window, grid_points=129):
     """Certificate from the symmetrized-eigenvalue envelope of A.
 
     If sup_t lambda_max(A(t) + A(t)') = -2 lam* < 0 the certificate is
@@ -119,21 +119,17 @@ def lambda_max_check(A, window, grid_points=129, n_list=None):
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise PreconditionError("stability window must have positive length")
-    sizes = list(n_list) if n_list else [grid_points]
-    sup_by_grid = {}
-    for n in sizes:
-        grid = _window_grid(A, lo, hi, int(n))
-        vals = np.array([np.linalg.eigvalsh(A.eval(t) + A.eval(t).T).max() for t in grid])
-        sup_by_grid[int(n)] = float(vals.max())
-    sup_val = sup_by_grid[int(sizes[-1])]
+    grid_points = int(grid_points)
+    grid = _window_grid(A, lo, hi, grid_points)
+    vals = np.array([np.linalg.eigvalsh(A.eval(t) + A.eval(t).T).max() for t in grid])
+    sup_val = float(vals.max())
     if sup_val < 0.0:
         return StabilityCertificate(
             gamma=1.0, lam=-0.5 * sup_val, route="lambda_max",
-            checked_window=(lo, hi), grid_points=int(sizes[-1]),
-            details={"criterion": "pointwise", "sup_lambda_max": sup_val,
-                     "sup_by_grid": sup_by_grid})
+            checked_window=(lo, hi), grid_points=grid_points,
+            details={"criterion": "pointwise", "sup_lambda_max": sup_val})
     # Pointwise bound fails somewhere; integrate the envelope instead.
-    fine = _window_grid(A, lo, hi, max(513, 4 * int(sizes[-1])))
+    fine = _window_grid(A, lo, hi, max(513, 4 * grid_points))
     fvals = np.array([np.linalg.eigvalsh(A.eval(t) + A.eval(t).T).max() for t in fine])
     prefix = _prefix_integral(fvals, fine)
     mean_decay = prefix[-1] / (hi - lo)
@@ -147,9 +143,9 @@ def lambda_max_check(A, window, grid_points=129, n_list=None):
         excess = max(0.0, float((M[upper] + 2.0 * lam * D[upper]).max()))
         return StabilityCertificate(
             gamma=float(np.exp(0.5 * excess)), lam=lam, route="lambda_max",
-            checked_window=(lo, hi), grid_points=int(sizes[-1]),
+            checked_window=(lo, hi), grid_points=grid_points,
             details={"criterion": "integral", "sup_lambda_max": sup_val,
-                     "mean_decay": float(mean_decay), "sup_by_grid": sup_by_grid})
+                     "mean_decay": float(mean_decay)})
     return StabilityFailure(
         route="lambda_max",
         reason=(f"sup of lambda_max(A + A') is {sup_val:.6g} >= 0 and its window "

@@ -300,7 +300,7 @@ def _resolve_route(A, interval):
 def commutative_transition(A, s0, s, tol=1e-8):
     """Exact transition matrix exp(int_{s0}^{s} A) for commuting families.
 
-    Commutativity is re-verified at eight random time pairs before use;
+    Commutativity is re-verified with ``check_commutativity`` before use;
     the integral is evaluated by composite Simpson and the error estimate
     compares exponentials at two quadrature resolutions.
     """
@@ -308,15 +308,11 @@ def commutative_transition(A, s0, s, tol=1e-8):
         raise PreconditionError("commutative_transition requires s >= s0")
     if s == s0:
         return _identity_result(A, "commutative_exp")
-    rng = np.random.default_rng(20130528)
-    pairs = rng.uniform(s0, s, size=(8, 2))
-    pvals = A.eval_array(pairs.ravel()).reshape(8, 2, A.shape[0], A.shape[0])
-    comm = np.matmul(pvals[:, 0], pvals[:, 1]) - np.matmul(pvals[:, 1], pvals[:, 0])
-    worst = float(np.sqrt((comm**2).sum(axis=(1, 2))).max())
-    if worst > tol:
+    report = check_commutativity(A, (s0, s), tol=tol)
+    if not report.passes:
         raise PreconditionError(
-            f"matrix family does not commute (violation {worst:.3e} > {tol:g}); "
-            "use the series or Runge-Kutta route")
+            f"matrix family does not commute (violation {report.max_violation:.3e} "
+            f"> {tol:g}); use the series or Runge-Kutta route")
 
     def integral(max_h):
         total = np.zeros(A.shape)

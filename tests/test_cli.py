@@ -177,10 +177,10 @@ def test_wvconv_zero_n_exits_2(tvcar1_file, capsys):
     assert "N" in err["error"]
 
 
-def test_stability_route_shorthand_on_unstable_model(tmp_path, capsys):
+def test_stability_lambda_max_route_on_unstable_model(tmp_path, capsys):
     path = write_model(tmp_path, "unstable.json", UNSTABLE)
     code = dispatch(["stability", "--model", path, "--window", "0,1",
-                     "--route", "a"])
+                     "--route", "lambda_max"])
     assert code == 0  # an honest negative report is a successful run
     captured = capsys.readouterr()
     report = json.loads(captured.out)
@@ -233,7 +233,7 @@ def test_transition_matches_hand_integral(tvcar1_file, capsys):
     assert obj["terms_or_steps"] > 0
 
 
-def test_transition_methods_agree(tvcar1_file, capsys):
+def test_transition_routes_agree(tvcar1_file, capsys):
     values = {}
     for method in ["pb", "ode", "comm"]:
         assert dispatch(["transition", "--model", tvcar1_file, "--s0", "0",
@@ -264,8 +264,7 @@ def test_converge_matches_library_bit_for_bit(tmp_path, tvcar1_file):
     cert = lambda_max_check(m.A, (-1.0, 0.0))
     assert cert.passed
     report = convergence_diagnostic(m, 0.0, [1, 2, 4, 8, 16],
-                                    cert.default_u_max(), du=0.005,
-                                    transition_method="auto")
+                                    cert.default_u_max(), du=0.005)
     expected = "".join("%d,%s\n" % (n, "%.17g" % d) for n, d in report.rows)
     assert text == expected
 
@@ -286,6 +285,8 @@ def test_kernel_rows_and_limit_values(tmp_path, car1_file):
     for line in lines:
         u, v = (float(x) for x in line.split(","))
         assert abs(v - math.exp(-u)) < 1e-12
+    manifest = json.loads((tmp_path / "kern.csv.manifest.json").read_text())
+    assert manifest["resolved"] == {"route": None}  # the limit kernel needs no transition
 
 
 def test_manifest_replay_is_byte_identical(tmp_path, tvcar1_file):
@@ -297,6 +298,7 @@ def test_manifest_replay_is_byte_identical(tmp_path, tvcar1_file):
     argv = list(manifest["argv_resolved"])
     assert argv[0] == "kernel"
     assert "--umax" in argv  # the derived default is recorded explicitly
+    assert manifest["resolved"] == {"route": "comm"}  # scalar families commute
     out2 = tmp_path / "k2.csv"
     argv[argv.index("--out") + 1] = str(out2)
     assert dispatch(argv) == 0
@@ -603,6 +605,13 @@ def test_bad_number_lists_exit_2(car1_file, capsys, argv):
     ["wigner", "--N", "4", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "pb"],
     ["wvconv", "--Ns", "1,2", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "pb"],
     ["spectrum", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "auto"],
+    ["kernel", "--N", "4", "--t", "0", "--umax", "2", "--method", "auto"],
+    ["kernel", "--N", "4", "--t", "0", "--umax", "2", "--method", "ode"],
+    ["kernel", "--N", "4", "--t", "0", "--umax", "2", "--method", "comm"],
+    ["wigner", "--N", "4", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "auto"],
+    ["wigner", "--N", "4", "--t", "0", "--lmax", "1", "--dl", "0.5", "--method", "ode"],
+    ["stability", "--window", "0,1", "--route", "a"],
+    ["stability", "--window", "0,1", "--route", "b"],
 ])
 def test_removed_method_choices_are_usage_errors(car1_file, capsys, argv):
     assert dispatch([argv[0], "--model", car1_file, *argv[1:]]) == 2

@@ -146,19 +146,18 @@ def test_kernel_grid_u_zero_and_methods(companion_fixture, noncomm_family):
     assert kernel_grid(companion_fixture, 5, 0.0, u_max=1.0).values[0] == pytest.approx(2.0)
     m = StateSpaceModel(2, noncomm_family, [1.0, 0.0], [0.0, 1.0],
                         {"brownian_variance": 1.0})
-    ode = kernel_grid(m, 2, 0.0, u_max=1.5, du=0.5, transition_method="ode")
+    ode = kernel_grid(m, 2, 0.0, u_max=1.5, du=0.5)
+    assert ode.route == "ode"
     psi = peano_baker(m.A.reparametrized(0.0, 0.5), -1.5, 0.0).value
     assert ode.values[-1] == pytest.approx(
         m.B.eval_vec(0.0) @ psi @ m.C.eval_vec(-0.75), abs=1e-8)
-    for method in ("pb", "magic"):
-        with pytest.raises(PreconditionError):
-            kernel_grid(m, 2, 0.0, u_max=1.5, transition_method=method)
 
 
 def test_grid_routes_agree_on_noncommutative_model(noncomm_family):
     m = StateSpaceModel(2, noncomm_family, [1.0, 0.0], [0.0, 1.0],
                         {"brownian_variance": 1.0})
-    g_ode = kernel_grid(m, 2, 0.0, u_max=3.0, du=0.01, transition_method="ode")
+    g_ode = kernel_grid(m, 2, 0.0, u_max=3.0, du=0.01)
+    assert g_ode.route == "ode"
     assert np.abs(_pb_panel_loop(m, 2, 0.0, g_ode.u_grid) - g_ode.values).max() < 1e-8
 
 
@@ -189,10 +188,10 @@ def test_finite_grid_matches_scalar_panel_loop(drifting_companion, rk4_step_loop
     for m, N, t, u_max, du in [(drifting_companion, 16, 0.3, 5.0, 0.01),
                                (drifting_companion, 3, -0.8, 4.0, 0.05),
                                (kinked, 4, 0.5, 3.0, 0.01)]:
-        grid = kernel_grid(m, N, t, u_max, du, transition_method="ode")
+        grid = kernel_grid(m, N, t, u_max, du)
+        assert grid.route == "ode"
         ref = _finite_grid_loop(m, N, t, grid.u_grid, rk4_step_loop)
         assert np.abs(grid.values - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(kernel_grid(m, N, t, u_max, du).values, grid.values)
 
 
 def test_auto_route_commutative_p2():
@@ -227,9 +226,7 @@ def test_every_caller_resolves_the_same_route(tvcar1, drifting_companion, tmp_pa
                          "--s", repr(t), "--method", "auto"]) == 0
         method = json.loads(capsys.readouterr().out)["method"]
         assert method == {"comm": "commutative_exp", "ode": "ode"}[expected]
-        auto = kernel_grid(m, N, t, u_max=u_max, du=0.01)
-        explicit = kernel_grid(m, N, t, u_max=u_max, du=0.01, transition_method=expected)
-        assert np.array_equal(auto.values, explicit.values)
+        assert kernel_grid(m, N, t, u_max=u_max, du=0.01).route == expected
 
 
 def test_limit_grid_defective_state_matrix():
@@ -272,8 +269,6 @@ def test_kernel_grid_validation(diag_fixture):
         kernel_grid(diag_fixture, 1, 0.0, u_max=-1.0)
     with pytest.raises(PreconditionError):
         kernel_grid(diag_fixture, 1, 0.0, u_max=1.0, du=0.0)
-    with pytest.raises(PreconditionError):
-        kernel_grid(diag_fixture, 1, 0.0, u_max=1.0, transition_method="nope")
 
 
 def test_kernel_grid_budget_checked_before_allocation(car1):

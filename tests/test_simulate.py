@@ -15,7 +15,6 @@ from tvls import (
     covariance,
     empirical_covariance,
     lambda_max_check,
-    simulate_path,
     simulate_paths,
 )
 
@@ -65,15 +64,16 @@ def test_paths_keyed_by_index_not_ensemble_size(car1):
 
 
 def test_path_sample_fields(car1):
-    sample = simulate_path(car1, 4, ou_grid(), seed=3, burn_in=6.0)
-    assert sample.path_index == 0
-    assert sample.N == 4
-    assert sample.seed == 3
-    assert sample.burn_in == 6.0
-    assert sample.observations.shape == (11,)
-    assert sample.states.shape == (11, 1)
+    ens = simulate_paths(car1, 4, ou_grid(), n_paths=1, seed=3, burn_in=6.0,
+                         store_states=True)
+    assert ens.n_paths == 1
+    assert ens.N == 4
+    assert ens.seed == 3
+    assert ens.burn_in == 6.0
+    assert ens.observations.shape == (1, 11)
+    assert ens.states.shape == (1, 11, 1)
     # observation is B' X with B = 1
-    assert np.allclose(sample.observations, sample.states[:, 0])
+    assert np.allclose(ens.observations, ens.states[:, :, 0])
 
 
 def test_states_option(diag_fixture):
@@ -131,9 +131,12 @@ def test_jackknife_needs_three_paths(car1):
 
 def test_zero_variance_rejected():
     A = MatrixFunction([[-1.0]], what="A")
-    silent = StateSpaceModel(1, A, [1.0], [1.0], LevyModel(brownian_variance=0.0))
-    with pytest.raises(ZeroVarianceError):
-        simulate_paths(silent, 1, ou_grid(), n_paths=3, seed=0, burn_in=6.0)
+    # zero-std jumps are just as silent as no noise at all
+    for levy in (LevyModel(brownian_variance=0.0),
+                 LevyModel(brownian_variance=0.0, jump_intensity=5.0, jump_std=0.0)):
+        silent = StateSpaceModel(1, A, [1.0], [1.0], levy)
+        with pytest.raises(ZeroVarianceError):
+            simulate_paths(silent, 1, ou_grid(), n_paths=3, seed=0, burn_in=6.0)
 
 
 def test_simulation_validation(car1):
