@@ -1,8 +1,16 @@
 """Tests for the Levy driving-noise layer."""
 
+import numpy as np
 import pytest
 
-from tvls import LevyModel, PreconditionError
+from tvls import (
+    LevyModel,
+    MatrixFunction,
+    PreconditionError,
+    StateSpaceModel,
+    ZeroVarianceError,
+    simulate_paths,
+)
 
 
 def test_model_validation():
@@ -39,3 +47,15 @@ def test_json_errors():
         LevyModel.from_json({"jump_intensity": 1.0})  # missing variance
     with pytest.raises(PreconditionError):
         LevyModel.from_json({"brownian_variance": 1.0, "sigma": 2.0})
+
+
+def test_zero_variance_rejected():
+    # zero-std jumps are just as silent as no noise at all
+    A = MatrixFunction([[-1.0]], what="A")
+    times = np.linspace(0.0, 1.0, 5)
+    for silent in (LevyModel(brownian_variance=0.0),
+                   LevyModel(brownian_variance=0.0, jump_intensity=5.0, jump_std=0.0)):
+        assert silent.sigma_l == 0.0
+        model = StateSpaceModel(1, A, [1.0], [1.0], silent)
+        with pytest.raises(ZeroVarianceError):
+            simulate_paths(model, 4, times, n_paths=3, seed=0, burn_in=1.0)
