@@ -24,8 +24,9 @@ import numpy as np
 
 from . import __version__
 from .errors import PreconditionError, TailMassWarning, TruncationWarning
-from .kernels import _grid_steps, convergence_diagnostic, kernel_grid
+from .kernels import convergence_diagnostic, kernel_grid
 from .model import CarmaModel, companion_from_carma, model_from_json
+from .quadrature import _grid_steps
 from .simulate import simulate_paths
 from .spectral import GridConfig, spectral_density, wigner_ville, wv_convergence
 from .stability import (
@@ -83,15 +84,28 @@ def _write_csv(rows, out):
             templates[key] = None if None in specs else ",".join(specs) + "\n"
         template = templates[key]
         lines.append(template % row if template else ",".join(map(_fmt, row)) + "\n")
-    text = "".join(lines)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("".join(lines), out)
+
+
+def _write_columns(columns, out):
+    """The CSV that ``_write_csv(zip(*columns), out)`` writes, from 1-d columns.
+
+    When every column is a float array, the whole table is formatted by one
+    template from the columns' Python-float values.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if not all(c.dtype.kind == "f" for c in columns):
+        return _write_csv(zip(*columns), out)
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    _write_text(template * len(columns[0]) % values, out)
 
 
 def _write_json(obj, out):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+
+
+def _write_text(text, out):
     if out:
         Path(out).write_text(text)
     else:
@@ -241,7 +255,7 @@ def _cmd_kernel(args):
         cert = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
         umax = cert.default_u_max()
     grid = kernel_grid(m, n, args.t, u_max=umax, du=args.du)
-    _write_csv(zip(grid.u_grid, grid.values), args.out)
+    _write_columns((grid.u_grid, grid.values), args.out)
     return {
         "model": args.model, "t": args.t, "N": args.N, "umax": float(umax),
         "du": args.du, "out": args.out}, {"route": grid.route}
@@ -268,7 +282,7 @@ def _cmd_spectrum(args):
     if args.umax is None:
         config.certificate = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
     spec = spectral_density(m, args.t, lam, config)
-    _write_csv(zip(spec.lambda_grid, spec.values), args.out)
+    _write_columns((spec.lambda_grid, spec.values), args.out)
     resolved = _resolved(config, transform=spec.route)
     return {
         "model": args.model, "t": args.t, "lmax": args.lmax, "dl": args.dl,
@@ -288,7 +302,7 @@ def _cmd_wigner(args):
     lam = _lambda_grid(args.lmax, args.dl)
     config = _wv_config(m, args)
     wv = wigner_ville(m, args.N, args.t, lam, config)
-    _write_csv(zip(wv.lambda_grid, wv.values), args.out)
+    _write_columns((wv.lambda_grid, wv.values), args.out)
     resolved = _resolved(config, smax=config.resolved_s_max(), transform=wv.route)
     return {
         "model": args.model, "t": args.t, "N": args.N, "lmax": args.lmax,

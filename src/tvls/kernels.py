@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridMismatchError, PreconditionError, SmoothnessError, TailMassWarning
 from .model import sup_norm
-from .quadrature import composite_simpson, cumulative_simpson, trapezoid
+from .quadrature import _grid_steps, composite_simpson, cumulative_simpson, trapezoid
 from .transition import _resolve_route, _rk4_panels, matrix_exp
 
 __all__ = [
@@ -31,10 +31,6 @@ __all__ = [
     "l2_distance",
     "convergence_diagnostic",
 ]
-
-# Most points a lag, window, frequency or time grid may hold (16 MB of float64),
-# checked before the grid is allocated.
-MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass
@@ -130,16 +126,6 @@ def _check_n_list(N_list):
     if not n_values or any(N == "limit" for N in n_values):
         raise PreconditionError("N_list must hold positive integers")
     return n_values
-
-
-def _grid_steps(extent, step, what):
-    """round(extent / step), the steps of a uniform grid, within MAX_GRID_POINTS."""
-    ratio = extent / step
-    if not ratio < MAX_GRID_POINTS:  # also catches inf and nan
-        raise PreconditionError(
-            f"{what}: {extent:g} / {step:g} exceeds the grid budget of "
-            f"{MAX_GRID_POINTS} points")
-    return int(round(ratio))
 
 
 def _limit_grid_values(m, t, u_grid):

@@ -459,10 +459,11 @@ class MatrixFunction:
         return self.eval(t)[:, 0]
 
     def deriv(self, t, order=1):
-        out = np.empty((self.rows, self.cols))
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (self.rows, self.cols))
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                out[i, j] = e.nth_derivative(t, order)
+                out[..., i, j] = e.nth_derivative(t, order)
         return out
 
     @property

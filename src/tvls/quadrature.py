@@ -10,6 +10,27 @@ import math
 
 import numpy as np
 
+from .errors import PreconditionError
+
+# Most points a lag, window, frequency or time grid, a quadrature node grid,
+# an RK4 step grid or a simulation may hold (16 MB of float64), checked
+# before anything of that size is allocated.
+MAX_GRID_POINTS = 2_000_000
+
+
+def _check_grid_budget(count, what):
+    """PreconditionError unless ``count`` points fit within MAX_GRID_POINTS."""
+    if not count < MAX_GRID_POINTS:  # also catches inf and nan
+        raise PreconditionError(
+            f"{what}: {count:g} points exceed the grid budget of {MAX_GRID_POINTS} points")
+
+
+def _grid_steps(extent, step, what):
+    """round(extent / step), the steps of a uniform grid, within MAX_GRID_POINTS."""
+    ratio = extent / step
+    _check_grid_budget(ratio, f"{what} ({extent:g} / {step:g})")
+    return int(round(ratio))
+
 
 def trapezoid(y, dx):
     """Composite trapezoid rule on a uniform grid along axis 0."""
@@ -96,6 +117,7 @@ def split_interval(a, b, breakpoints):
 def piece_nodes(lo, hi, max_h, min_subintervals=2):
     """Uniform node grid on one piece with an even subinterval count."""
     width = hi - lo
+    _check_grid_budget(width / max_h, "quadrature nodes")
     n_sub = max(min_subintervals, int(math.ceil(width / max_h)))
     if n_sub % 2:
         n_sub += 1

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .errors import GridMismatchError, PreconditionError, ZeroVarianceError
 from .model import sup_norm
+from .quadrature import _check_grid_budget
 from .transition import matrix_exp
 
 __all__ = [
@@ -77,6 +79,8 @@ def _build_steps(m, N, t_grid, burn_in):
     norm = sup_norm(m.A, lo, t_grid[-1])
     max_ds = 0.1 / max(1.0, norm)
     bounds = np.concatenate([[N * lo], N * t_grid])
+    spans = np.diff(bounds)
+    _check_grid_budget(np.ceil(spans[spans > 0] / max_ds).sum(), "simulate_paths substeps")
     mids, widths, obs_idx = [], [], []
     done = 0
     for k in range(len(bounds) - 1):
@@ -120,6 +124,9 @@ def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
     p = m.p
     n_steps = len(mids)
     n_grid = len(t_grid)
+    _check_grid_budget(n_paths * n_grid * (p if store_states else 1), "simulate_paths outputs")
+    # Paths per chunk, so that a chunk's noise draws stay within the budget too.
+    chunk = min(_CHUNK, max(1, quadrature.MAX_GRID_POINTS // max(1, n_steps)))
 
     half = matrix_exp(m.A.eval_array(mids) * (0.5 * widths)[:, None, None])
     prop = half @ half
@@ -131,8 +138,8 @@ def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
     observations = np.empty((n_paths, n_grid))
     states = np.empty((n_paths, n_grid, p)) if store_states else None
 
-    for c0 in range(0, n_paths, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_paths)
+    for c0 in range(0, n_paths, chunk):
+        c1 = min(c0 + chunk, n_paths)
         nb = c1 - c0
         z = np.empty((nb, n_steps))
         counts = np.empty((nb, n_steps))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostconditionError, PreconditionError, TruncationWarning
-from .kernels import _check_n, _check_n_list, _distances_converge, _grid_steps, kernel_grid
+from .kernels import _check_n, _check_n_list, _distances_converge, kernel_grid
 from .model import sup_norm
-from .quadrature import trapezoid, trapezoid_weights
+from .quadrature import _grid_steps, trapezoid, trapezoid_weights
 
 __all__ = [
     "GridConfig",

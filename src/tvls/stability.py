@@ -108,6 +108,12 @@ def _prefix_integral(vals, taus):
     return np.concatenate([np.zeros((1,) + vals.shape[1:]), np.cumsum(increments, axis=0)])
 
 
+def _sym_lambda_max(A, ts):
+    """lambda_max(A(t) + A(t)') at each of the times ``ts``."""
+    a = A.eval_array(ts)
+    return np.linalg.eigvalsh(a + np.swapaxes(a, -1, -2)).max(axis=-1)
+
+
 def lambda_max_check(A, window, grid_points=129):
     """Certificate from the symmetrized-eigenvalue envelope of A.
 
@@ -121,8 +127,7 @@ def lambda_max_check(A, window, grid_points=129):
         raise PreconditionError("stability window must have positive length")
     grid_points = int(grid_points)
     grid = _window_grid(A, lo, hi, grid_points)
-    vals = np.array([np.linalg.eigvalsh(A.eval(t) + A.eval(t).T).max() for t in grid])
-    sup_val = float(vals.max())
+    sup_val = float(_sym_lambda_max(A, grid).max())
     if sup_val < 0.0:
         return StabilityCertificate(
             gamma=1.0, lam=-0.5 * sup_val, route="lambda_max",
@@ -130,8 +135,7 @@ def lambda_max_check(A, window, grid_points=129):
             details={"criterion": "pointwise", "sup_lambda_max": sup_val})
     # Pointwise bound fails somewhere; integrate the envelope instead.
     fine = _window_grid(A, lo, hi, max(513, 4 * grid_points))
-    fvals = np.array([np.linalg.eigvalsh(A.eval(t) + A.eval(t).T).max() for t in fine])
-    prefix = _prefix_integral(fvals, fine)
+    prefix = _prefix_integral(_sym_lambda_max(A, fine), fine)
     mean_decay = prefix[-1] / (hi - lo)
     if mean_decay < 0.0:
         lam = -0.5 * mean_decay
@@ -177,7 +181,8 @@ def eigen_bound_check(A, window, grid_points=129):
     scale = max(abs(lo), abs(hi), 1.0)
     for b in A.breakpoints:  # derivative sups must avoid kink points
         grid = grid[np.abs(grid - b) > 1e-12 * scale]
-    max_re = max(np.linalg.eigvals(A.eval(t)).real.max() for t in grid)
+    a = A.eval_array(grid)
+    max_re = np.linalg.eigvals(a).real.max()
     mu = -max_re
     if mu <= 0.0:
         return StabilityFailure(
@@ -185,19 +190,24 @@ def eigen_bound_check(A, window, grid_points=129):
             reason=f"sup of Re eig(A(t)) is {max_re:.6g} >= 0 on the window",
             checked_window=(lo, hi), sup_lambda_max=float(max_re),
             hint="no exponential decay rate is available for this family")
-    alpha = max(np.linalg.norm(A.eval(t), 2) for t in grid)
-    beta = max(np.linalg.norm(A.deriv(t), 2) for t in grid)
+    alpha = np.linalg.norm(a, 2, axis=(-2, -1)).max()
+    beta = np.linalg.norm(A.deriv(grid), 2, axis=(-2, -1)).max()
     lam = 0.5 * mu
     anchors = np.linspace(lo, hi, 17)
     steps = [ode_transition(A, anchors[k], anchors[k + 1],
-                            steps=max(48, int(np.ceil(24 * alpha * (anchors[k + 1] - anchors[k])))))
+                            steps=max(48.0, np.ceil(24 * alpha * (anchors[k + 1] - anchors[k]))))
              for k in range(len(anchors) - 1)]
-    emp = 1.0
+    # Propagator from each anchor to every later one, as the ordered product
+    # steps[k] @ ... @ steps[i].
+    prods, gaps = [], []
     for i in range(len(anchors) - 1):
         P = np.eye(A.shape[0])
         for k in range(i, len(anchors) - 1):
             P = steps[k].value @ P
-            emp = max(emp, np.linalg.norm(P, 2) * np.exp(lam * (anchors[k + 1] - anchors[i])))
+            prods.append(P)
+            gaps.append(anchors[k + 1] - anchors[i])
+    excess = np.linalg.norm(np.array(prods), 2, axis=(-2, -1)) * np.exp(lam * np.array(gaps))
+    emp = max(1.0, excess.max())
     return StabilityCertificate(
         gamma=float(1.05 * emp), lam=float(lam), route="eigen_bound",
         checked_window=(lo, hi), grid_points=grid_points,
@@ -229,26 +239,27 @@ def commutative_route_check(A, window, grid_points=33, tol=1e-8):
     width = hi - lo
     anchors = np.linspace(lo, hi, 9)[:-1]
     seps = width / 256.0 * (2.0 ** np.arange(0, 9))
+
     def prefix_at(v):
-        j = int(np.clip(np.searchsorted(fine, v), 1, len(fine) - 1))
-        w = (v - fine[j - 1]) / (fine[j] - fine[j - 1])
+        j = np.clip(np.searchsorted(fine, v), 1, len(fine) - 1)
+        w = ((v - fine[j - 1]) / (fine[j] - fine[j - 1]))[:, None, None]
         return (1.0 - w) * prefix[j - 1] + w * prefix[j]
 
-    worst_rate = -np.inf
-    sup_cond = 1.0
-    pairs = 0
-    for s in anchors:
-        for d in seps:
-            x = min(s + d, hi)
-            if x - s < 1e-12 * width:
-                continue
-            M = prefix_at(x) - prefix_at(s)
-            w, V = np.linalg.eig(M)
-            cond = np.linalg.cond(V)
-            rate = w.real.max() / (x - s)
-            worst_rate = max(worst_rate, rate)
-            sup_cond = max(sup_cond, cond)
-            pairs += 1
+    starts = np.repeat(anchors, len(seps))
+    ends = np.minimum(starts + np.tile(seps, len(anchors)), hi)
+    keep = ends - starts >= 1e-12 * width
+    starts, ends = starts[keep], ends[keep]
+    pairs = len(starts)
+    w, V = np.linalg.eig(prefix_at(ends) - prefix_at(starts))
+    # eig returns a complex stack if any matrix has complex eigenvalues; the
+    # others get the real eigenbasis a call on them alone would return.
+    real = (w.imag == 0.0).all(axis=-1)
+    conds = np.empty(pairs)
+    for sel, basis in ((real, V.real), (~real, V)):
+        if sel.any():
+            conds[sel] = np.linalg.cond(basis[sel])
+    worst_rate = (w.real.max(axis=-1) / (ends - starts)).max()
+    sup_cond = max(1.0, conds.max())
     if not np.isfinite(sup_cond) or sup_cond >= 1e8:
         return StabilityFailure(
             route="commutative",

@@ -20,7 +20,13 @@ import numpy as np
 
 from .errors import DivergenceError, PreconditionError
 from .model import sup_norm
-from .quadrature import cumulative_simpson, nudge_off_break, piece_nodes, split_interval
+from .quadrature import (
+    _check_grid_budget,
+    cumulative_simpson,
+    nudge_off_break,
+    piece_nodes,
+    split_interval,
+)
 
 __all__ = [
     "TransitionMatrix",
@@ -243,6 +249,7 @@ def ode_transition(A, s0, s, steps=256):
     (embedded halving).  Interior breakpoints split the integration so
     piecewise-constant coefficients are integrated exactly on each side.
     """
+    _check_grid_budget(steps, "ode_transition steps")
     steps = int(steps)
     if steps < 1:
         raise PreconditionError("steps must be >= 1")

@@ -159,6 +159,61 @@ def test_spectrum_grid_budget_exits_2(car1_file, capsys):
     assert code == 2
 
 
+DRIFTING = {
+    "p": 2,
+    "A": [[0.0, 1.0], [{"family": "affine", "params": [-6.0, -1.0]}, -5.0]],
+    "B": [5.0, 2.0],
+    "C": [0.0, 1.0],
+    "levy": {"brownian_variance": 1.0, "jump_intensity": 2.0, "jump_std": 0.5},
+}
+
+
+@pytest.mark.parametrize("model, args, what", [
+    (CAR1, ["transition", "--s0", "0", "--s", "1", "--method", "ode", "--steps", "3000"],
+     "ode_transition steps"),
+    # 24 alpha (hi - lo) / 16 = 4000+ RK4 steps per anchor interval
+    (DRIFTING, ["stability", "--window", "0,50", "--route", "eigen"], "ode_transition steps"),
+    (DRIFTING, ["stability", "--window", "0,50", "--route", "auto"], "ode_transition steps"),
+    # the step count overflows to inf
+    pytest.param(DRIFTING, ["stability", "--window", "0,1e300", "--route", "eigen"],
+                 "ode_transition steps",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+    (CAR1, ["transition", "--s0", "0", "--s", "100", "--method", "comm"], "quadrature nodes"),
+    (CAR1, ["transition", "--s0", "0", "--s", "100", "--method", "pb"], "quadrature nodes"),
+    # (1000 + 1) driving-time units at a 0.1 / ||A|| step
+    (DRIFTING, ["simulate", "--N", "1000", "--t0", "0", "--t1", "1", "--dt", "0.5",
+                "--burn-in", "1"], "simulate_paths substeps"),
+    # 600 paths x 3 times x 2 states
+    (DRIFTING, ["simulate", "--N", "1", "--t0", "0", "--t1", "1", "--dt", "0.5",
+                "--burn-in", "1", "--paths", "600"], "simulate_paths outputs"),
+])
+def test_step_node_and_path_budgets_exit_2(tmp_path, monkeypatch, capsys, model, args, what):
+    # A small budget keeps both this test and a regression of it cheap.
+    monkeypatch.setattr("tvls.quadrature.MAX_GRID_POINTS", 1000)
+    path = write_model(tmp_path, "model.json", model)
+    code = dispatch(args + ["--model", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    assert code == 2
+    err = json.loads(err)
+    assert err["type"] == "PreconditionError"
+    assert err["error"].startswith(what + ":")
+    assert "grid budget of 1000 points" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, args", [
+    (CAR1, ["transition", "--s0", "0", "--s", "1", "--method", "ode", "--steps", "900"]),
+    (DRIFTING, ["stability", "--window", "0,1", "--route", "eigen"]),
+    (CAR1, ["transition", "--s0", "0", "--s", "20", "--method", "comm"]),
+    (DRIFTING, ["simulate", "--N", "4", "--t0", "0", "--t1", "1", "--dt", "0.5",
+                "--burn-in", "1", "--paths", "100"]),
+])
+def test_runs_within_a_small_budget_pass(tmp_path, monkeypatch, model, args):
+    monkeypatch.setattr("tvls.quadrature.MAX_GRID_POINTS", 1000)
+    path = write_model(tmp_path, "model.json", model)
+    assert dispatch(args + ["--model", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_wigner_zero_n_exits_2(car1_file, capsys):
     code = dispatch(["wigner", "--model", car1_file, "--N", "0", "--t", "0",
                      "--lmax", "1", "--dl", "0.5", "--umax", "4", "--smax", "4"])
@@ -486,6 +541,17 @@ def test_write_csv_matches_value_by_value_writer(tmp_path):
         out = tmp_path / "rows.csv"
         cli_mod._write_csv(iter(rows), str(out))
         assert out.read_text() == _fmt_writer(rows)
+    # ndarray columns, as the spectrum, wigner and kernel tables pass them
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e300, 5e-324, 2.0**-1074, 0.1])
+    v = np.concatenate([np.exp(-u**2) * np.pi, special])
+    w = np.concatenate([u, special[::-1]])
+    column_sets = [(w, v), (u.astype(np.float32), v[:len(u)]), (v[::2], w[::2]),
+                   (w, v, np.column_stack([v, w])[:, 1]), (w, np.arange(len(w))),
+                   (np.zeros(0), np.zeros(0))]
+    for columns in column_sets:
+        out = tmp_path / "columns.csv"
+        cli_mod._write_columns(columns, str(out))
+        assert out.read_text() == _fmt_writer(zip(*columns))
 
 
 def test_wvconv_distances_shrink(tmp_path, tvcar1_file):

@@ -17,6 +17,7 @@ from tvls import (
     lambda_max_check,
     simulate_paths,
 )
+from tvls.simulate import _build_steps
 
 
 def ou_grid():
@@ -61,6 +62,16 @@ def test_paths_keyed_by_index_not_ensemble_size(car1):
     small = simulate_paths(car1, 4, ou_grid(), n_paths=2, seed=11, burn_in=6.0)
     large = simulate_paths(car1, 4, ou_grid(), n_paths=5, seed=11, burn_in=6.0)
     assert np.array_equal(small.observations, large.observations[:2])
+
+
+def test_paths_do_not_depend_on_chunking(car1, monkeypatch):
+    # a smaller grid budget splits the ensemble into chunks of fewer paths
+    ref = simulate_paths(car1, 4, ou_grid(), n_paths=7, seed=5, burn_in=6.0, store_states=True)
+    n_steps = len(_build_steps(car1, 4, ou_grid(), 6.0)[1])
+    monkeypatch.setattr("tvls.quadrature.MAX_GRID_POINTS", 2 * n_steps + 1)  # 2 paths a chunk
+    small = simulate_paths(car1, 4, ou_grid(), n_paths=7, seed=5, burn_in=6.0, store_states=True)
+    assert np.array_equal(small.observations, ref.observations)
+    assert np.array_equal(small.states, ref.states)
 
 
 def test_path_sample_fields(car1):

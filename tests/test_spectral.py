@@ -20,7 +20,7 @@ from tvls import (
     wigner_ville,
     wv_convergence,
 )
-from tvls.kernels import MAX_GRID_POINTS
+from tvls.quadrature import MAX_GRID_POINTS
 from tvls.spectral import _dense_fourier_sum, _fourier_route, _fourier_sum
 from tvls.stability import _frozen_transfer
 
