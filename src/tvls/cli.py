@@ -7,13 +7,18 @@ output file as ``<out>.manifest.json`` when ``--out`` is given, otherwise
 as a single ``{"manifest": ...}`` line on stderr.  Re-running the argv
 recorded in a manifest reproduces the output byte for byte.  Truncation and
 tail-mass warnings are listed in the manifest's ``warnings`` entry instead of
-being printed.
+being printed; a failing run lists them in its error JSON.
+
+Each subcommand is one entry of ``_COMMANDS`` (handler, help text, flags),
+and each flag is declared once in ``_FLAGS``.
 
 Exit codes: 0 on success, 2 when inputs fail a precondition (a JSON object
 naming the problem is printed to stderr), 1 on internal errors.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -52,53 +57,23 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
-
-
-def _spec(tp):
-    """The %-format of a value type, as ``_fmt`` renders it; None for booleans and others."""
-    if issubclass(tp, (bool, np.bool_)):
-        return None
-    if issubclass(tp, (int, np.integer)):
-        return "%d"
-    if issubclass(tp, (float, np.floating)):
-        return "%.17g"
-    return None
-
-
-def _write_csv(rows, out):
-    # One %-template per row layout formats a whole row at once; rows holding
-    # booleans (or other types) go through _fmt value by value.
-    templates = {}
-    lines = []
-    for row in rows:
-        row = tuple(row)
-        key = tuple(map(type, row))
-        if key not in templates:
-            specs = [_spec(tp) for tp in key]
-            templates[key] = None if None in specs else ",".join(specs) + "\n"
-        template = templates[key]
-        lines.append(template % row if template else ",".join(map(_fmt, row)) + "\n")
-    _write_text("".join(lines), out)
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _write_columns(columns, out):
-    """The CSV that ``_write_csv(zip(*columns), out)`` writes, from 1-d columns.
+    """Headerless CSV of equal-length 1-d columns, one row per index.
 
-    When every column is a float array, the whole table is formatted by one
-    template from the columns' Python-float values.
+    Float columns are formatted ``%.17g`` (values round-trip bit for bit),
+    all others ``%d``; the whole table is formatted by one template.
     """
     columns = [np.asarray(c) for c in columns]
-    if not all(c.dtype.kind == "f" for c in columns):
-        return _write_csv(zip(*columns), out)
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = tuple(np.column_stack(columns).ravel().tolist())
-    _write_text(template * len(columns[0]) % values, out)
+    template = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
+    # An object table keeps each column's values as Python ints or floats.
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, c in enumerate(columns):
+        table[:, j] = c
+    _write_text(template * len(table) % tuple(table.ravel().tolist()), out)
 
 
 def _write_json(obj, out):
@@ -115,14 +90,8 @@ def _write_text(text, out):
 def _emit_manifest(subcommand, params, out, resolved, warned):
     argv = [subcommand]
     for key, val in params.items():
-        if val is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(val, bool):
-            if val:
-                argv.append(flag)
-        else:
-            argv.extend([flag, _fmt(val) if isinstance(val, float) else str(val)])
+        if val is not None:
+            argv += [_flag(key), "%.17g" % val if isinstance(val, float) else str(val)]
     manifest = {
         "version": __version__,
         "subcommand": subcommand,
@@ -133,11 +102,9 @@ def _emit_manifest(subcommand, params, out, resolved, warned):
     if resolved is not None:
         manifest["resolved"] = resolved
     if out:
-        Path(str(out) + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_json(manifest, str(out) + ".manifest.json")
     else:
         sys.stderr.write(json.dumps({"manifest": manifest}, sort_keys=True) + "\n")
-    return manifest
 
 
 def _load_model(path):
@@ -211,12 +178,26 @@ def _resolved(config, **extra):
     return {"umax": config.resolved_u_max(), "certificate": cert, **extra}
 
 
-def _require_certificate(A, window, flag_hint):
-    cert = auto_certificate(A, window)
+def _certificate(m, args):
+    """The stability certificate a subcommand's unset size flags default from.
+
+    ``--umax``/``--smax`` default from a certificate on (t - 1, t).
+    ``--burn-in`` defaults from one on (t0, t1), or on that window widened
+    by the burn-in it gives when a route certifies the wider one too.  None
+    when every such flag was given.
+    """
+    flags = [f for f in ("umax", "smax", "burn_in") if f in vars(args)]
+    if all(getattr(args, f) is not None for f in flags):
+        return None
+    window = (args.t0, args.t1) if "burn_in" in flags else (args.t - 1.0, args.t)
+    cert = auto_certificate(m.A, window)
     if not cert.passed:
         raise PreconditionError(
             f"no stability certificate found on window {window} ({cert.reason}); "
-            f"pass {flag_hint} explicitly")
+            f"pass {'/'.join(map(_flag, flags))} explicitly")
+    if "burn_in" in flags:
+        wide = auto_certificate(m.A, (args.t0 - 12.0 / cert.lam / args.N, args.t1))
+        cert = wide if wide.passed else cert
     return cert
 
 
@@ -226,115 +207,74 @@ def _cmd_simulate(args):
         raise PreconditionError("simulate: need t1 > t0 and dt > 0")
     n = _grid_steps(args.t1 - args.t0, args.dt, "simulate time grid")
     t_grid = args.t0 + args.dt * np.arange(n + 1)
-    burn_in = args.burn_in
-    if burn_in is None:
-        cert = _require_certificate(m.A, (args.t0, args.t1), "--burn-in")
-        burn_in = 12.0 / cert.lam
-        wide = (args.t0 - burn_in / args.N, args.t1)
-        cert2 = auto_certificate(m.A, wide)
-        if cert2.passed:
-            burn_in = 12.0 / cert2.lam
     ens = simulate_paths(m, args.N, t_grid, args.paths, seed=args.seed,
-                         burn_in=burn_in, store_states=True)
-    rows = []
-    for i in range(ens.n_paths):
-        for k, t in enumerate(ens.t_grid):
-            rows.append([i, t, *ens.states[i, k], ens.observations[i, k]])
-    _write_csv(rows, args.out)
-    return {
-        "model": args.model, "N": args.N, "t0": args.t0, "t1": args.t1,
-        "dt": args.dt, "paths": args.paths, "seed": args.seed,
-        "burn_in": float(burn_in), "out": args.out}, None
+                         certificate=_certificate(m, args), burn_in=args.burn_in,
+                         store_states=True)
+    n_grid = len(ens.t_grid)
+    _write_columns((np.repeat(np.arange(ens.n_paths), n_grid), np.tile(ens.t_grid, ens.n_paths),
+                    *ens.states.reshape(-1, m.p).T, ens.observations.ravel()), args.out)
+    return {"burn_in": ens.burn_in}, None
 
 
 def _cmd_kernel(args):
     m = _load_model(args.model)
     n = _parse_n(args.N)
-    umax = args.umax
-    if umax is None:
-        cert = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
-        umax = cert.default_u_max()
+    umax = GridConfig(u_max=args.umax, certificate=_certificate(m, args)).resolved_u_max()
     grid = kernel_grid(m, n, args.t, u_max=umax, du=args.du)
     _write_columns((grid.u_grid, grid.values), args.out)
-    return {
-        "model": args.model, "t": args.t, "N": args.N, "umax": float(umax),
-        "du": args.du, "out": args.out}, {"route": grid.route}
+    return {"umax": umax}, {"route": grid.route}
 
 
 def _cmd_converge(args):
     m = _load_model(args.model)
     n_list = _parse_int_list(args.Ns, "Ns")
-    umax = args.umax
-    if umax is None:
-        cert = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
-        umax = cert.default_u_max()
+    umax = GridConfig(u_max=args.umax, certificate=_certificate(m, args)).resolved_u_max()
     report = convergence_diagnostic(m, args.t, n_list, umax, du=args.du)
-    _write_csv(report.rows, args.out)
-    return {
-        "model": args.model, "t": args.t, "Ns": args.Ns, "umax": float(umax),
-        "du": args.du, "out": args.out}, None
+    _write_columns(zip(*report.rows), args.out)
+    return {"umax": umax}, None
 
 
 def _cmd_spectrum(args):
     m = _load_model(args.model)
     lam = _lambda_grid(args.lmax, args.dl)
-    config = GridConfig(u_max=args.umax, du=args.du)
-    if args.umax is None:
-        config.certificate = _require_certificate(m.A, (args.t - 1.0, args.t), "--umax")
+    config = GridConfig(u_max=args.umax, du=args.du, certificate=_certificate(m, args))
     spec = spectral_density(m, args.t, lam, config)
     _write_columns((spec.lambda_grid, spec.values), args.out)
-    resolved = _resolved(config, transform=spec.route)
-    return {
-        "model": args.model, "t": args.t, "lmax": args.lmax, "dl": args.dl,
-        "umax": args.umax, "du": args.du, "out": args.out}, resolved
-
-
-def _wv_config(m, args):
-    config = GridConfig(u_max=args.umax, du=args.du, s_max=args.smax, ds=args.ds)
-    if args.umax is None or args.smax is None:
-        config.certificate = _require_certificate(
-            m.A, (args.t - 1.0, args.t), "--umax/--smax")
-    return config
+    return {}, _resolved(config, transform=spec.route)
 
 
 def _cmd_wigner(args):
     m = _load_model(args.model)
     lam = _lambda_grid(args.lmax, args.dl)
-    config = _wv_config(m, args)
+    config = GridConfig(args.umax, args.du, args.smax, args.ds, _certificate(m, args))
     wv = wigner_ville(m, args.N, args.t, lam, config)
     _write_columns((wv.lambda_grid, wv.values), args.out)
-    resolved = _resolved(config, smax=config.resolved_s_max(), transform=wv.route)
-    return {
-        "model": args.model, "t": args.t, "N": args.N, "lmax": args.lmax,
-        "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "out": args.out}, resolved
+    return {}, _resolved(config, smax=config.resolved_s_max(), transform=wv.route)
 
 
 def _cmd_wvconv(args):
     m = _load_model(args.model)
     lam = _lambda_grid(args.lmax, args.dl)
     n_list = _parse_int_list(args.Ns, "Ns")
-    config = _wv_config(m, args)
+    config = GridConfig(args.umax, args.du, args.smax, args.ds, _certificate(m, args))
     report = wv_convergence(m, args.t, lam, n_list, config)
-    _write_csv(report.rows, args.out)
-    resolved = _resolved(config, smax=config.resolved_s_max())
-    return {
-        "model": args.model, "t": args.t, "Ns": args.Ns, "lmax": args.lmax,
-        "dl": args.dl, "smax": args.smax, "ds": args.ds, "umax": args.umax,
-        "du": args.du, "out": args.out}, resolved
+    _write_columns(zip(*report.rows), args.out)
+    return {}, _resolved(config, smax=config.resolved_s_max())
+
+
+# The routes of ``transition --method``; "auto" takes the one _resolve_route picks.
+_TRANSITION_METHODS = {
+    "pb": lambda A, args: peano_baker(A, args.s0, args.s, tol=args.tol),
+    "ode": lambda A, args: ode_transition(A, args.s0, args.s, steps=args.steps),
+    "comm": lambda A, args: commutative_transition(A, args.s0, args.s),
+    "auto": lambda A, args: _TRANSITION_METHODS[
+        _resolve_route(A, (min(args.s0, args.s), max(args.s0, args.s)))](A, args),
+}
 
 
 def _cmd_transition(args):
     m = _load_model(args.model)
-    method = args.method
-    if method == "auto":
-        method = _resolve_route(m.A, (min(args.s0, args.s), max(args.s0, args.s)))
-    if method == "pb":
-        res = peano_baker(m.A, args.s0, args.s, tol=args.tol)
-    elif method == "ode":
-        res = ode_transition(m.A, args.s0, args.s, steps=args.steps)
-    else:
-        res = commutative_transition(m.A, args.s0, args.s)
+    res = _TRANSITION_METHODS[args.method](m.A, args)
     out_obj = {
         "matrix": [[float(v) for v in row] for row in res.value],
         "error_estimate": float(res.error_estimate),
@@ -342,9 +282,11 @@ def _cmd_transition(args):
         "terms_or_steps": int(res.terms_or_steps),
     }
     _write_json(out_obj, args.out)
-    return {
-        "model": args.model, "s0": args.s0, "s": args.s, "method": args.method,
-        "tol": args.tol, "steps": args.steps, "out": args.out}, None
+
+
+# The certificate routes of ``stability --route``, by function name.
+_STABILITY_ROUTES = {"auto": "auto_certificate", "lambda_max": "lambda_max_check",
+                     "eigen": "eigen_bound_check", "comm": "commutative_route_check"}
 
 
 def _cmd_stability(args):
@@ -353,9 +295,7 @@ def _cmd_stability(args):
     if len(window) != 2:
         raise PreconditionError(f"window: expected 'lo,hi', got {args.window!r}")
     lo, hi = window
-    routes = {"auto": auto_certificate, "lambda_max": lambda_max_check,
-              "eigen": eigen_bound_check, "comm": commutative_route_check}
-    result = routes[args.route](m.A, (lo, hi))
+    result = globals()[_STABILITY_ROUTES[args.route]](m.A, (lo, hi))
     if result.passed:
         out_obj = {"passed": True, "route": result.route,
                    "gamma": result.gamma, "lam": result.lam,
@@ -367,9 +307,6 @@ def _cmd_stability(args):
                    "window": [lo, hi], "hint": result.hint,
                    "sup_lambda_max": result.sup_lambda_max}
     _write_json(out_obj, args.out)
-    return {
-        "model": args.model, "window": args.window, "route": args.route,
-        "out": args.out}, None
 
 
 def _cmd_control(args):
@@ -392,9 +329,6 @@ def _cmd_control(args):
                "full_rank": report.full_rank,
                "p": m.p}
     _write_json(out_obj, args.out)
-    return {
-        "model": args.model, "tgrid": args.tgrid, "t": args.t, "t0": args.t0,
-        "t1": args.t1, "dt": args.dt, "out": args.out}, None
 
 
 def _cmd_equiv(args):
@@ -402,102 +336,87 @@ def _cmd_equiv(args):
     m2 = _load_model(args.model2)
     if m1.p != m2.p:
         raise PreconditionError("equiv: models must share the state dimension p")
-    report = transfer_equivalence(m1, m2, args.t)
-    out_obj = {"equivalent": report.equivalent,
-               "max_rel_error": report.max_rel_error,
-               "n_used": report.n_used, "n_skipped": report.n_skipped,
-               "note": report.note}
-    _write_json(out_obj, args.out)
-    return {
-        "model": args.model, "model2": args.model2, "t": args.t,
-        "out": args.out}, None
+    _write_json(dataclasses.asdict(transfer_equivalence(m1, m2, args.t)), args.out)
 
 
-def _build_parser():
+_FLOAT = {"type": _finite_float, "required": True}
+_OPTIONAL_FLOAT = {"type": _finite_float, "default": None}
+
+# The add_argument keywords of each flag, by name; its dest is the name.
+_FLAGS = {
+    "t": _FLOAT,
+    "N": {"type": int, "required": True},
+    "Ns": {"required": True, "help": "comma-separated N values"},
+    "lmax": _FLOAT,
+    "dl": _FLOAT,
+    "smax": _OPTIONAL_FLOAT,
+    "ds": {"type": _finite_float, "default": 0.05},
+    "umax": _OPTIONAL_FLOAT,
+    "du": {"type": _finite_float, "default": 0.005},
+    "t0": _FLOAT,
+    "t1": _FLOAT,
+    "dt": _FLOAT,
+    "paths": {"type": int, "default": 1},
+    "seed": {"type": int, "default": 0},
+    "burn_in": _OPTIONAL_FLOAT,
+    "s0": _FLOAT,
+    "s": _FLOAT,
+    "method": {"default": "auto", "choices": _TRANSITION_METHODS},
+    "tol": {"type": _finite_float, "default": 1e-12},
+    "steps": {"type": int, "default": 256},
+    "window": {"required": True, "help": "'lo,hi'"},
+    "route": {"default": "auto", "choices": _STABILITY_ROUTES},
+    "tgrid": {"default": None, "help": "comma-separated times"},
+    "model2": {"required": True, "help": "second model JSON file"},
+}
+
+
+def _flag_specs(flags):
+    """{name: add_argument keywords} of a subcommand's flags, in order."""
+    return dict((f, _FLAGS[f]) if isinstance(f, str) else f for f in flags)
+
+
+# Each subcommand's handler (by name), help text and flags.  A flag is a name
+# in _FLAGS, or a (name, keywords) pair for a form only this subcommand
+# takes.  Every subcommand also takes --model (a model JSON file) and --out.
+_COMMANDS = {
+    "simulate": ("_cmd_simulate", "simulate observation paths (CSV: path,t,X...,Y)",
+                 ("N", "t0", "t1", "dt", "paths", "seed", "burn_in")),
+    "kernel": ("_cmd_kernel", "lag kernel on a grid (CSV: u,value)",
+               ("t", ("N", {"required": True, "help": "positive integer or 'limit'"}),
+                "umax", "du")),
+    "converge": ("_cmd_converge", "kernel convergence in N (CSV: N,distance)",
+                 ("t", "Ns", "umax", "du")),
+    "spectrum": ("_cmd_spectrum", "limiting spectral density (CSV: lambda,f)",
+                 ("t", "lmax", "dl", "umax", "du")),
+    "wigner": ("_cmd_wigner", "finite-N time-frequency spectrum (CSV: lambda,f_N)",
+               ("t", "N", "lmax", "dl", "smax", "ds", "umax", "du")),
+    "wvconv": ("_cmd_wvconv", "spectrum convergence in N (CSV: N,distance)",
+               ("t", "Ns", "lmax", "dl", "smax", "ds", "umax", "du")),
+    "transition": ("_cmd_transition", "transition matrix (JSON)",
+                   ("s0", "s", "method", "tol", "steps")),
+    "stability": ("_cmd_stability", "stability certificate (JSON)", ("window", "route")),
+    "control": ("_cmd_control", "instantaneous controllability (JSON)",
+                ("tgrid", ("t", _OPTIONAL_FLOAT), ("t0", _OPTIONAL_FLOAT),
+                 ("t1", _OPTIONAL_FLOAT), ("dt", _OPTIONAL_FLOAT))),
+    "equiv": ("_cmd_equiv", "frozen-time transfer equivalence (JSON)", ("model2", "t")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser of the subcommand table, built once per process."""
     parser = _CliParser(prog="tvls",
                         description="Time-varying Levy-driven state-space models")
     parser.add_argument("--version", action="version", version=f"tvls {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, fn, help_text, model_flags=("--model",)):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(fn=fn)
-        sp.add_argument(*model_flags, dest="model", required=True,
-                        help="model JSON file")
+        model_flags = ("--model", "--model1") if name == "equiv" else ("--model",)
+        sp.add_argument(*model_flags, dest="model", required=True, help="model JSON file")
         sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        return sp
-
-    sp = add("simulate", _cmd_simulate, "simulate observation paths (CSV: path,t,X...,Y)")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--t0", type=_finite_float, required=True)
-    sp.add_argument("--t1", type=_finite_float, required=True)
-    sp.add_argument("--dt", type=_finite_float, required=True)
-    sp.add_argument("--paths", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--burn-in", dest="burn_in", type=_finite_float, default=None)
-
-    sp = add("kernel", _cmd_kernel, "lag kernel on a grid (CSV: u,value)")
-    sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--N", required=True, help="positive integer or 'limit'")
-    sp.add_argument("--umax", type=_finite_float, default=None)
-    sp.add_argument("--du", type=_finite_float, default=0.005)
-
-    sp = add("converge", _cmd_converge, "kernel convergence in N (CSV: N,distance)")
-    sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--Ns", required=True, help="comma-separated N values")
-    sp.add_argument("--umax", type=_finite_float, default=None)
-    sp.add_argument("--du", type=_finite_float, default=0.005)
-
-    sp = add("spectrum", _cmd_spectrum, "limiting spectral density (CSV: lambda,f)")
-    sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--lmax", type=_finite_float, required=True)
-    sp.add_argument("--dl", type=_finite_float, required=True)
-    sp.add_argument("--umax", type=_finite_float, default=None)
-    sp.add_argument("--du", type=_finite_float, default=0.005)
-
-    sp = add("wigner", _cmd_wigner, "finite-N time-frequency spectrum (CSV: lambda,f_N)")
-    sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--lmax", type=_finite_float, required=True)
-    sp.add_argument("--dl", type=_finite_float, required=True)
-    sp.add_argument("--smax", type=_finite_float, default=None)
-    sp.add_argument("--ds", type=_finite_float, default=0.05)
-    sp.add_argument("--umax", type=_finite_float, default=None)
-    sp.add_argument("--du", type=_finite_float, default=0.005)
-
-    sp = add("wvconv", _cmd_wvconv, "spectrum convergence in N (CSV: N,distance)")
-    sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--Ns", required=True)
-    sp.add_argument("--lmax", type=_finite_float, required=True)
-    sp.add_argument("--dl", type=_finite_float, required=True)
-    sp.add_argument("--smax", type=_finite_float, default=None)
-    sp.add_argument("--ds", type=_finite_float, default=0.05)
-    sp.add_argument("--umax", type=_finite_float, default=None)
-    sp.add_argument("--du", type=_finite_float, default=0.005)
-
-    sp = add("transition", _cmd_transition, "transition matrix (JSON)")
-    sp.add_argument("--s0", type=_finite_float, required=True)
-    sp.add_argument("--s", type=_finite_float, required=True)
-    sp.add_argument("--method", default="auto", choices=["pb", "ode", "comm", "auto"])
-    sp.add_argument("--tol", type=_finite_float, default=1e-12)
-    sp.add_argument("--steps", type=int, default=256)
-
-    sp = add("stability", _cmd_stability, "stability certificate (JSON)")
-    sp.add_argument("--window", required=True, help="'lo,hi'")
-    sp.add_argument("--route", default="auto", choices=["auto", "lambda_max", "eigen", "comm"])
-
-    sp = add("control", _cmd_control, "instantaneous controllability (JSON)")
-    sp.add_argument("--tgrid", default=None, help="comma-separated times")
-    sp.add_argument("--t", type=_finite_float, default=None)
-    sp.add_argument("--t0", type=_finite_float, default=None)
-    sp.add_argument("--t1", type=_finite_float, default=None)
-    sp.add_argument("--dt", type=_finite_float, default=None)
-
-    sp = add("equiv", _cmd_equiv, "frozen-time transfer equivalence (JSON)",
-             model_flags=("--model", "--model1"))
-    sp.add_argument("--model2", required=True, help="second model JSON file")
-    sp.add_argument("--t", type=_finite_float, required=True)
-
+        for flag, spec in _flag_specs(flags).items():
+            sp.add_argument(_flag(flag), **spec)
     return parser
 
 
@@ -520,26 +439,25 @@ def _manifest_warnings(caught):
 def dispatch(argv):
     """Run one CLI invocation; returns the process exit code.
 
-    Each subcommand returns its manifest parameters and resolved block; the
-    manifest is written once the command has finished, with the truncation
-    and tail-mass warnings it raised, so stderr carries JSON lines only.  A
-    failing command reports those warnings in its error line instead; other
-    warnings are shown whether the command succeeds or fails.
+    A handler returns the values it derived (pinned into the manifest's
+    parameters) and the manifest's resolved block, or None for neither.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler, _, flags = _COMMANDS[args.subcommand]
     warned, caught = [], []
     try:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 for category in _RECORDED_WARNINGS:
                     warnings.simplefilter("always", category)
-                params, resolved = args.fn(args)
+                pinned, resolved = globals()[handler](args) or ({}, None)
         finally:
             warned = _manifest_warnings(caught)
+        params = {name: getattr(args, name) for name in ["model", *_flag_specs(flags), "out"]}
+        params.update(pinned)
         _emit_manifest(args.subcommand, params, args.out, resolved, warned)
         return 0
     except PreconditionError as exc:

@@ -99,9 +99,11 @@ def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
                    burn_in=None, store_states=False):
     """Simulate an ensemble of rescaled observation paths.
 
-    ``burn_in`` is a driving-time run-up before the first grid time; when
-    omitted it defaults to 12 decay times of the attached stability
-    certificate (one of the two must be supplied).
+    ``seed`` is a non-negative integer; path i draws from the Philox stream
+    of ``SeedSequence(seed, spawn_key=(i,))``.  ``burn_in`` is a
+    driving-time run-up before the first grid time; when omitted it
+    defaults to 12 decay times of the attached stability certificate (one
+    of the two must be supplied).
     """
     if burn_in is None:
         if certificate is None:
@@ -117,6 +119,8 @@ def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
     n_paths = int(n_paths)
     if n_paths < 1:
         raise PreconditionError("n_paths must be a positive integer")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
     levy = m.levy
     if levy.sigma_l == 0.0:
         raise ZeroVarianceError("driving noise has zero variance")

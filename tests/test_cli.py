@@ -360,6 +360,41 @@ def test_manifest_replay_is_byte_identical(tmp_path, tvcar1_file):
     assert out2.read_bytes() == out1.read_bytes()
 
 
+# One small run of each subcommand; the certificate-derived --umax, --smax
+# and --burn-in are left out wherever a subcommand takes them.
+REPLAY_RUNS = [
+    ["simulate", "--model", "{car1}", "--N", "4", "--t0", "0", "--t1", "0.5", "--dt", "0.25",
+     "--paths", "2", "--seed", "3"],
+    ["kernel", "--model", "{tvcar1}", "--t", "0.5", "--N", "4", "--du", "0.01"],
+    ["converge", "--model", "{tvcar1}", "--t", "0", "--Ns", "1,2", "--du", "0.05"],
+    ["spectrum", "--model", "{car1}", "--t", "0.5", "--lmax", "2", "--dl", "0.5"],
+    ["wigner", "--model", "{tvcar1}", "--t", "0", "--N", "4", "--lmax", "1", "--dl", "0.5",
+     "--du", "0.02", "--ds", "0.2"],
+    ["wvconv", "--model", "{tvcar1}", "--t", "0", "--Ns", "2,4", "--lmax", "1", "--dl", "0.5",
+     "--du", "0.02", "--ds", "0.2"],
+    ["transition", "--model", "{tvcar1}", "--s0", "0", "--s", "1"],
+    ["stability", "--model", "{car1}", "--window", "0,1"],
+    ["control", "--model", "{diag}", "--t0", "0", "--t1", "1", "--dt", "0.5"],
+    ["equiv", "--model1", "{diag}", "--model2", "{carma}", "--t", "0.3"],
+]
+
+
+@pytest.mark.parametrize("argv", REPLAY_RUNS, ids=[run[0] for run in REPLAY_RUNS])
+def test_every_subcommand_replays_its_manifest(tmp_path, argv):
+    models = {name: write_model(tmp_path, f"{name}.json", obj)
+              for name, obj in [("car1", CAR1), ("tvcar1", TVCAR1), ("diag", DIAG),
+                                ("carma", CARMA21)]}
+    first, second = tmp_path / "first.out", tmp_path / "second.out"
+    assert dispatch([a.format(**models) for a in argv] + ["--out", str(first)]) == 0
+    manifest = Path(str(first) + ".manifest.json").read_text()
+    replay = json.loads(manifest)["argv_resolved"]
+    assert replay[0] == argv[0] and replay[-2:] == ["--out", str(first)]
+    assert dispatch(replay[:-1] + [str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    again = Path(str(second) + ".manifest.json").read_text()
+    assert again.replace(str(second), str(first)) == manifest
+
+
 def test_simulate_csv_layout(tmp_path, car1_file):
     before = Path(car1_file).read_bytes()
     out = tmp_path / "paths.csv"
@@ -525,33 +560,39 @@ def test_failing_run_keeps_its_warnings(monkeypatch, capsys):
                                 "message": "window truncated"}]
 
 
-def _fmt_writer(rows):
-    return "".join(",".join(cli_mod._fmt(v) for v in row) + "\n" for row in rows)
+def _value_by_value_csv(columns):
+    """The CSV of ``columns`` formatted one value at a time: ints ``%d``, floats ``%.17g``."""
+    def fmt(v):
+        return str(int(v)) if isinstance(v, (int, np.integer)) else "%.17g" % float(v)
+
+    return "".join(",".join(map(fmt, row)) + "\n" for row in zip(*columns))
 
 
 def test_write_csv_matches_value_by_value_writer(tmp_path):
     u = np.linspace(-20.0, 20.0, 801)
-    float_rows = list(zip(u, np.exp(-u**2) * np.pi))
-    float_rows += [(np.nan, np.inf), (-np.inf, -0.0), (1e300, 5e-324),
-                   (np.float32(0.1), 2.0**-1074), (1.0, 0.1), ()]
-    mixed_rows = [[3, np.float64(0.5), np.int64(-7), True],
-                  [2**60 + 1, np.bool_(False), 1e-17, np.uint8(255)],
-                  (np.int32(4), 0.25), [True, False], [0, 0.0, -0.0]]
-    for rows in (float_rows, mixed_rows, float_rows + mixed_rows):
-        out = tmp_path / "rows.csv"
-        cli_mod._write_csv(iter(rows), str(out))
-        assert out.read_text() == _fmt_writer(rows)
-    # ndarray columns, as the spectrum, wigner and kernel tables pass them
-    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e300, 5e-324, 2.0**-1074, 0.1])
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e300, 5e-324, 2.0**-1074, 0.1,
+                        np.float32(0.1), 1.0])
     v = np.concatenate([np.exp(-u**2) * np.pi, special])
     w = np.concatenate([u, special[::-1]])
-    column_sets = [(w, v), (u.astype(np.float32), v[:len(u)]), (v[::2], w[::2]),
-                   (w, v, np.column_stack([v, w])[:, 1]), (w, np.arange(len(w))),
-                   (np.zeros(0), np.zeros(0))]
+    n = len(w)
+    column_sets = [
+        # float columns, as the spectrum, wigner and kernel tables pass them
+        (w, v), (u.astype(np.float32), v[:len(u)]), (v[::2], w[::2]),
+        (w, v, np.column_stack([v, w])[:, 1]), (np.zeros(0), np.zeros(0)),
+        # an int column first, as the simulate table (path index) passes it
+        (np.repeat(np.arange(3), n // 3), w[:n // 3 * 3], v[:n // 3 * 3]),
+        # int tuples, as the converge and wvconv tables pass their N values
+        ((1, 2, 4, 2**60 + 1, 2**70), (0.5, -0.0, np.nan, 5e-324, 1e-17)),
+        (np.array([-7, 255, 4], dtype=np.int64), np.array([255, 0, 1], dtype=np.uint8),
+         np.array([0.25, np.float32(0.1), -np.inf])),
+        (w, np.arange(n)),
+    ]
     for columns in column_sets:
         out = tmp_path / "columns.csv"
         cli_mod._write_columns(columns, str(out))
-        assert out.read_text() == _fmt_writer(zip(*columns))
+        assert out.read_text() == _value_by_value_csv(columns)
+    cli_mod._write_columns(((3, 2**70), (0.1, -0.0), (np.nan, -np.inf)), str(out))
+    assert out.read_text() == "3,0.10000000000000001,nan\n1180591620717411303424,-0,-inf\n"
 
 
 def test_wvconv_distances_shrink(tmp_path, tvcar1_file):
@@ -657,6 +698,8 @@ def test_non_finite_float_flags_are_usage_errors(car1_file, capsys, argv, value)
     ["stability", "--window", "nan,1"],
     ["stability", "--window", "0,1,2"],
     ["control", "--tgrid", "nan,1"],
+    ["simulate", "--seed", "-1", "--N", "2", "--t0", "0", "--t1", "1", "--dt", "0.5",
+     "--burn-in", "1"],
 ])
 def test_bad_number_lists_exit_2(car1_file, capsys, argv):
     assert dispatch([argv[0], "--model", car1_file, *argv[1:]]) == 2

@@ -24,6 +24,7 @@ from tvls import (
     kernel_grid,
     l2_distance,
     lambda_max_check,
+    ode_transition,
     peano_baker,
 )
 from tvls.cli import dispatch
@@ -192,6 +193,74 @@ def test_finite_grid_matches_scalar_panel_loop(drifting_companion, rk4_step_loop
         assert grid.route == "ode"
         ref = _finite_grid_loop(m, N, t, grid.u_grid, rk4_step_loop)
         assert np.abs(grid.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _step_integral(step, N, t, u):
+    """int_0^u of the step's value at t - x/N, in closed form."""
+    cut = N * (t - step.t_break)  # lags beyond the cut see the left value
+    return step.right * np.clip(u, None, cut) + step.left * np.clip(u - cut, 0.0, None)
+
+
+def test_comm_kernel_across_a_jump_matches_closed_form():
+    # a(t) jumps from 1 to 2 at t = 0.2; lag 0.4 maps onto the jump
+    step = Step(0.2, 1.0, 2.0)
+    m = _scalar_model(step)
+    for du in (0.01, 0.005, 0.0025, 0.007):
+        grid = kernel_grid(m, 4, 0.3, u_max=3.0, du=du)
+        assert grid.route == "comm"
+        exact = np.exp(-_step_integral(step, 4, 0.3, grid.u_grid))
+        assert np.abs(grid.values - exact).max() <= 1e-12
+
+
+def test_comm_kernel_with_two_jumps_in_one_lag_panel():
+    # diagonal, so the family commutes; the jumps sit at lags 0.802 and 0.804
+    s1, s2 = Step(0.2995, -1.0, -2.0), Step(0.299, -3.0, -0.5)
+    A = MatrixFunction([[s1, 0.0], [0.0, s2]], what="A")
+    m = StateSpaceModel(2, A, [1.0, 2.0], [1.0, 1.0], {"brownian_variance": 1.0})
+    grid = kernel_grid(m, 4, 0.5, u_max=2.0, du=0.01)
+    assert grid.route == "comm"
+    exact = (np.exp(_step_integral(s1, 4, 0.5, grid.u_grid))
+             + 2.0 * np.exp(_step_integral(s2, 4, 0.5, grid.u_grid)))
+    assert np.abs(grid.values - exact).max() <= 1e-12
+
+
+def test_smooth_entries_keep_their_accuracy_between_close_jumps():
+    # jumps at lags 0.405 and 0.425 leave two nodes between them; the
+    # sinusoidal entry must still be integrated to Simpson accuracy there
+    N, t = 1, 0.5
+    sine = Sinusoidal(-1.0, 0.5, 5.0, 0.3)
+    A = MatrixFunction([[Step(0.095, -1.0, -2.0), 0.0, 0.0], [0.0, Step(0.075, -3.0, -0.5), 0.0],
+                        [0.0, 0.0, sine]], what="A")
+    m = StateSpaceModel(3, A, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], {"brownian_variance": 1.0})
+    grid = kernel_grid(m, N, t, u_max=1.0, du=0.01)
+    assert grid.route == "comm"
+    u = grid.u_grid
+    integral = -u + 0.5 * N / 5.0 * (np.cos(5.0 * (t - u / N) + 0.3) - np.cos(5.0 * t + 0.3))
+    # 2.4e-8 is the error of the same grid without any jump
+    assert np.abs(grid.values - np.exp(integral)).max() < 5e-8
+
+
+def test_ode_kernel_across_jumps_matches_per_lag_transitions():
+    # non-commuting; jumps at lags 0.75 and 0.755 (one panel) and 1.5 (a node, to rounding)
+    A = MatrixFunction([[Constant(0.0), Step(0.31125, 1.0, 0.5)],
+                        [Step(0.3125, -2.0, -4.0), Step(0.125, -3.0, -1.5)]], what="A")
+    m = StateSpaceModel(2, A, [1.0, 0.5], [0.0, 1.0], {"brownian_variance": 1.0})
+    N, t = 4, 0.5
+    grid = kernel_grid(m, N, t, u_max=2.0, du=0.02)
+    assert grid.route == "ode"
+    shifted = A.reparametrized(t, 1.0 / N)
+    for j in range(5, len(grid.u_grid), 5):
+        u = grid.u_grid[j]
+        psi = ode_transition(shifted, -u, 0.0, steps=int(2000 * u)).value
+        ref = m.B.eval_vec(t) @ psi @ m.C.eval_vec(t - u / N)
+        assert abs(grid.values[j] - ref) <= 1e-8
+
+
+def test_jump_outside_the_window_changes_nothing():
+    # the lags reach back to t - u_max/N = -0.45 only
+    grid = kernel_grid(_scalar_model(Step(-0.5, 1.5, 2.0)), 4, 0.3, u_max=3.0, du=0.01)
+    flat = kernel_grid(_scalar_model(Constant(2.0)), 4, 0.3, u_max=3.0, du=0.01)
+    assert np.array_equal(grid.values, flat.values)
 
 
 def test_auto_route_commutative_p2():

@@ -161,6 +161,19 @@ def test_simulation_validation(car1):
         simulate_paths(car1, 4, np.empty(0), n_paths=3, seed=0, burn_in=6.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, "3", None, np.int64(-2)])
+def test_seed_must_be_a_non_negative_integer(car1, seed):
+    with pytest.raises(PreconditionError, match="seed"):
+        simulate_paths(car1, 4, ou_grid(), n_paths=3, seed=seed, burn_in=6.0)
+
+
+def test_integer_seed_types_draw_the_same_paths(car1):
+    ref = simulate_paths(car1, 4, ou_grid(), n_paths=3, seed=7, burn_in=6.0)
+    for seed in (np.int64(7), np.uint32(7)):
+        ens = simulate_paths(car1, 4, ou_grid(), n_paths=3, seed=seed, burn_in=6.0)
+        assert np.array_equal(ens.observations, ref.observations)
+
+
 def test_jackknife_stderr_scales(car1):
     small = simulate_paths(car1, 20, ou_grid(), n_paths=500, seed=9, burn_in=12.0)
     big = simulate_paths(car1, 20, ou_grid(), n_paths=8000, seed=9, burn_in=12.0)
