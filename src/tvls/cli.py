@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -49,8 +50,23 @@ __all__ = ["main", "dispatch"]
 _RECORDED_WARNINGS = (TruncationWarning, TailMassWarning)
 
 
+# A number or a comma list of numbers.  argparse reads a token that starts
+# with "-" as a flag unless its negative-number matcher accepts the token,
+# and its own matcher refuses -1e-5 and -1,0.
+_NUMBER = r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf(?:inity)?|nan)"
+_NUMBERS = re.compile(rf"{_NUMBER}(?:,{_NUMBER})*\Z", re.IGNORECASE)
+
+
 class _CliParser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are machine-readable JSON."""
+    """Argument parser whose usage errors are machine-readable JSON.
+
+    A token that is a number or a comma list of numbers is a value, also
+    when it starts with "-".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NUMBERS
 
     def error(self, message):
         sys.stderr.write(json.dumps({"error": message, "type": "usage"}) + "\n")

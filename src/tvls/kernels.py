@@ -156,17 +156,20 @@ def _limit_grid_values(m, t, u_grid):
     return vals
 
 
-def _jumps_crossed(A, N, t, u_grid):
-    """Breakpoints b of a discontinuous A that the lag grid crosses, by increasing lag.
+def _breaks_crossed(A, N, t, u_grid):
+    """Breakpoints b of A (jumps and kinks) that the lag grid crosses, by increasing lag.
 
     Lag u takes the coefficient at t - u/N, so b is crossed when the nodes'
-    arguments straddle it: t - u_max/N <= b < t.  Continuous families
-    (kinks only) are integrated straight across.
+    arguments straddle it: t - u_max/N <= b < t.
     """
-    if A.is_continuous or not A.breakpoints:
-        return []
     args = t + (1.0 / N) * -u_grid[[0, -1]]
     return [b for b in reversed(A.breakpoints) if args[1] <= b < args[0]]
+
+
+def _above(A, b):
+    """Where A takes its right limit at the breakpoint b: b itself when A is
+    continuous (a kink), else just above b, past a possible jump."""
+    return b if A.is_continuous else nudge_off_break(b)
 
 
 def _simpson(A, lo, hi, f_lo, f_hi, N):
@@ -174,23 +177,23 @@ def _simpson(A, lo, hi, f_lo, f_hi, N):
     return N * (hi - lo) / 6.0 * (f_lo + 4.0 * A.eval(0.5 * (lo + hi)) + f_hi)
 
 
-def _cut_cumulative(A, N, avals, du, args, jumps, first):
-    """int_0^{u_j} A(t - x/N) dx at each lag node, cut at the ``jumps``.
+def _cut_cumulative(A, N, avals, du, args, breaks, first):
+    """int_0^{u_j} A(t - x/N) dx at each lag node, cut at the ``breaks``.
 
     ``args`` are the nodes' coefficient arguments and ``first`` the first
-    node past each jump (argument at most b).  Between two cuts the nodes
-    take cumulative Simpson; a partial panel from a cut to its neighbouring
-    node takes Simpson's rule with the one-sided limit at the cut: the value
-    at b itself past it (A takes its left limit there), the value just
-    above b before it.
+    node past each breakpoint b (argument at most b).  Between two cuts the
+    nodes take cumulative Simpson; a partial panel from a cut to its
+    neighbouring node takes Simpson's rule with the one-sided limit at the
+    cut: the value at b itself past it (A takes its left limit there), the
+    value just above b before it.
     """
     cum = np.empty_like(avals)
     total = np.zeros(avals.shape[1:])
-    starts, ends = [None, *jumps], [*jumps, None]
+    starts, ends = [None, *breaks], [*breaks, None]
     bounds = [0, *first, len(args)]
     for start, end, ja, jb in zip(starts, ends, bounds[:-1], bounds[1:]):
         f_start = None if start is None else A.eval(start)
-        f_end = None if end is None else A.eval(nudge_off_break(end))
+        f_end = None if end is None else A.eval(_above(A, end))
         if ja == jb:  # no node between the two cuts
             total = total + _simpson(A, end, start, f_end, f_start, N)
             continue
@@ -206,22 +209,22 @@ def _cut_cumulative(A, N, avals, du, args, jumps, first):
     return cum
 
 
-def _cut_panel(A, N, args, jumps, n_sub, du):
+def _cut_panel(A, N, args, breaks, n_sub, du):
     """RK4 propagator over the lag panel whose node arguments are ``args`` (hi, lo).
 
-    The panel is split at the ``jumps`` inside it; each piece takes steps in
-    proportion to its width, and starts just above a jump (right limit) and
-    ends on one (left limit).
+    The panel is split at the ``breaks`` inside it; each piece takes steps in
+    proportion to its width, and starts just above a breakpoint (right limit)
+    and ends on one (left limit).
     """
-    edges = [args[1], *sorted(jumps), args[0]]
+    edges = [args[1], *sorted(breaks), args[0]]
     phi = np.eye(A.shape[0])
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi == lo:
             continue
         steps = max(1, int(round(n_sub * N * (hi - lo) / du)))
         stage = np.linspace(lo, hi, 2 * steps + 1)
-        if lo in jumps:
-            stage[0] = nudge_off_break(lo)
+        if lo in breaks:
+            stage[0] = _above(A, lo)
         phi = _rk4_panels(A.eval_array(stage)[None], N * (hi - lo) / steps)[0] @ phi
     return phi
 
@@ -231,16 +234,16 @@ def _finite_grid_values(m, N, t, u_grid, route):
     shifted = m.A.reparametrized(t, 1.0 / N)
     c_vals = m.C.eval_array(t - u_grid / N)[:, :, 0]
     bt = m.B.eval_vec(t)
-    jumps = _jumps_crossed(m.A, N, t, u_grid)
-    if jumps:
-        # The lag nodes' coefficient arguments, and the first node past each jump.
+    breaks = _breaks_crossed(m.A, N, t, u_grid)
+    if breaks:
+        # The lag nodes' coefficient arguments, and the first node past each break.
         args = t + (1.0 / N) * -u_grid
-        first = np.searchsorted(-args, [-b for b in jumps])
+        first = np.searchsorted(-args, [-b for b in breaks])
     if route == "comm":
         # Psi(0, -u) = exp(int_0^u A(t - x/N) dx), cumulatively over the grid.
         avals = shifted.eval_array(-u_grid)
-        if jumps:
-            cum = _cut_cumulative(m.A, N, avals, du, args, jumps, first)
+        if breaks:
+            cum = _cut_cumulative(m.A, N, avals, du, args, breaks, first)
         else:
             cum = cumulative_simpson(avals, du)
         if m.p == 1:
@@ -261,10 +264,10 @@ def _finite_grid_values(m, N, t, u_grid, route):
     panels = np.lib.stride_tricks.sliding_window_view(
         a_stage, 2 * n_sub + 1, axis=0)[::2 * n_sub]
     phis = _rk4_panels(np.moveaxis(panels, -1, 1), du / n_sub)[::-1]
-    if jumps:
-        # Rebuild each panel a jump falls in: node j before it, j + 1 past it.
+    if breaks:
+        # Rebuild each panel a break falls in: node j before it, j + 1 past it.
         for j in sorted(set(first - 1)):
-            inside = [b for b, f in zip(jumps, first) if f - 1 == j]
+            inside = [b for b, f in zip(breaks, first) if f - 1 == j]
             phis[j] = _cut_panel(m.A, N, args[j:j + 2], inside, n_sub, du)
     values = np.empty(len(u_grid))
     row = bt.astype(float).copy()
@@ -281,8 +284,9 @@ def kernel_grid(m, N, t, u_max=None, du=0.005, certificate=None):
     Finite-N kernels take the transition route that probing the visited
     window for commutativity picks: ``"comm"`` (exponential of the
     integrated coefficient) or ``"ode"`` (panel-accumulated RK4).  When a
-    coefficient jumps inside the visited window, both routes cut the lag
-    grid at the jump and integrate each side with its one-sided values.
+    coefficient has a breakpoint (a jump or a kink) inside the visited
+    window, both routes cut the lag grid there and integrate each side with
+    its one-sided values.
 
     When a stability certificate is attached, ``u_max`` may be omitted (it
     defaults to the lag at which the certified envelope's squared tail

@@ -198,15 +198,14 @@ def eigen_bound_check(A, window, grid_points=129):
                             steps=max(48.0, np.ceil(24 * alpha * (anchors[k + 1] - anchors[k]))))
              for k in range(len(anchors) - 1)]
     # Propagator from each anchor to every later one, as the ordered product
-    # steps[k] @ ... @ steps[i].
-    prods, gaps = [], []
-    for i in range(len(anchors) - 1):
-        P = np.eye(A.shape[0])
-        for k in range(i, len(anchors) - 1):
-            P = steps[k].value @ P
-            prods.append(P)
-            gaps.append(anchors[k + 1] - anchors[i])
-    excess = np.linalg.norm(np.array(prods), 2, axis=(-2, -1)) * np.exp(lam * np.array(gaps))
+    # steps[k] @ (... @ steps[i]), one anti-diagonal k - i = d at a time.
+    mats = np.array([step.value for step in steps])
+    prods, gaps = [mats], [anchors[1:] - anchors[:-1]]
+    for d in range(1, len(mats)):
+        prods.append(mats[d:] @ prods[-1][:-1])
+        gaps.append(anchors[d + 1:] - anchors[:-d - 1])
+    excess = (np.linalg.norm(np.concatenate(prods), 2, axis=(-2, -1))
+              * np.exp(lam * np.concatenate(gaps)))
     emp = max(1.0, excess.max())
     return StabilityCertificate(
         gamma=float(1.05 * emp), lam=float(lam), route="eigen_bound",

@@ -218,36 +218,68 @@ def _rk4_panels(a_stage, h):
     return phi
 
 
-def _rk4_run(A, s0, s, steps):
-    """RK4 transition over [s0, s] as the ordered product of its step matrices.
+def _run_edges(pieces, steps):
+    """Step edges of an RK4 run in about ``steps`` steps over consecutive pieces.
 
-    Interior breakpoints split the interval and each piece gets a share of
-    the steps proportional to its length.  A step that starts on a
-    breakpoint is evaluated just past it, so right-limits are used when
-    integrating forward across a jump.
+    Each piece (between breakpoints) gets a share of the steps proportional
+    to its length.
     """
-    pieces = split_interval(s0, s, A.breakpoints)
-    total = s - s0
-    edges = np.concatenate(
+    total = pieces[-1][1] - pieces[0][0]
+    return np.concatenate(
         [np.linspace(lo, hi, max(1, int(round(steps * (hi - lo) / total))) + 1)[:-1]
          for lo, hi in pieces] + [[pieces[-1][1]]])
-    pts = np.linspace(edges[:-1], edges[1:], 3, axis=1)
-    if A.breakpoints:
-        at_break = np.isin(edges[:-1], A.breakpoints)
-        pts[at_break, 0] = [nudge_off_break(lo) for lo in edges[:-1][at_break]]
-    step_mats = _rk4_panels(A.eval_array(pts), np.diff(edges))
-    psi = step_mats[0]
-    for phi in step_mats[1:]:
-        psi = phi @ psi
-    return psi, len(step_mats)
+
+
+def _ordered_products(*runs):
+    """The ordered product run[-1] @ ... @ run[0] of each stack of matrices.
+
+    The runs are padded with identities to one power-of-two length and
+    neighbours are multiplied pairwise, so the products take log2 of that
+    length stacked matmuls rather than one Python iteration per matrix.
+    """
+    p = runs[0].shape[-1]
+    width = 1 << (max(map(len, runs)) - 1).bit_length()
+    mats = np.empty((len(runs), width, p, p))
+    mats[...] = np.eye(p)
+    for padded, run in zip(mats, runs):
+        padded[:len(run)] = run
+    while mats.shape[1] > 1:
+        mats = mats[:, 1::2] @ mats[:, 0::2]
+    return mats[:, 0]
+
+
+def _rk4_run(A, s0, s, steps, coarse_steps):
+    """RK4 transitions over [s0, s] in ``steps`` and in ``coarse_steps`` steps.
+
+    Each is the ordered product of its step matrices; the stage points of
+    both runs are evaluated and advanced together.  A step that starts on a
+    breakpoint is evaluated just past it, so right-limits are used when
+    integrating forward across a jump.  Returns the two transitions and the
+    step count of the first run.
+    """
+    breaks = A.breakpoints
+    pieces = split_interval(s0, s, breaks)
+    runs = [_run_edges(pieces, n) for n in (steps, coarse_steps)]
+    starts = np.concatenate([edges[:-1] for edges in runs])
+    ends = np.concatenate([edges[1:] for edges in runs])
+    h = ends - starts
+    pts = np.stack([starts, starts + h / 2, ends], axis=1)  # node, midpoint, node
+    if breaks:
+        at_break = np.isin(starts, breaks)
+        pts[at_break, 0] = [nudge_off_break(lo) for lo in starts[at_break]]
+    step_mats = _rk4_panels(A.eval_array(pts), h)
+    used = len(runs[0]) - 1
+    fine, coarse = _ordered_products(step_mats[:used], step_mats[used:])
+    return fine, coarse, used
 
 
 def ode_transition(A, s0, s, steps=256):
     """Transition matrix by classical fixed-step fourth-order Runge-Kutta.
 
     The error estimate compares against a run at half the step count
-    (embedded halving).  Interior breakpoints split the integration so
-    piecewise-constant coefficients are integrated exactly on each side.
+    (embedded halving; twice the count for a single step).  Interior
+    breakpoints split the integration so piecewise-constant coefficients
+    are integrated exactly on each side.
     """
     _check_grid_budget(steps, "ode_transition steps")
     steps = int(steps)
@@ -257,8 +289,7 @@ def ode_transition(A, s0, s, steps=256):
         raise PreconditionError("ode_transition requires s >= s0")
     if s == s0:
         return _identity_result(A, "ode")
-    psi, used = _rk4_run(A, s0, s, steps)
-    coarse, _ = _rk4_run(A, s0, s, max(1, steps // 2)) if steps >= 2 else _rk4_run(A, s0, s, 2 * steps)
+    psi, coarse, used = _rk4_run(A, s0, s, steps, steps // 2 if steps >= 2 else 2)
     err = float(np.linalg.norm(psi - coarse))
     return TransitionMatrix(psi, "ode", err, used)
 

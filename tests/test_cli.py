@@ -682,7 +682,7 @@ def test_internal_error_exits_1(monkeypatch, car1_file, capsys):
     ["equiv", "--model2", "{model}", "--t={}"],
 ])
 def test_non_finite_float_flags_are_usage_errors(car1_file, capsys, argv, value):
-    # "--flag=value", since argparse reads a bare "-inf" as an option
+    # "--flag=value"; a bare "-inf" is read as the value too
     argv = [a.format(value, model=car1_file) for a in argv]
     code = dispatch([argv[0], "--model", car1_file, *argv[1:]])
     assert code == 2
@@ -691,6 +691,30 @@ def test_non_finite_float_flags_are_usage_errors(car1_file, capsys, argv, value)
     err = json.loads(captured.err.strip())
     assert err["type"] == "usage"
     assert "finite" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["control", "--t", "-1e-5"],
+    ["stability", "--window", "-1,0"],
+    ["control", "--tgrid", "-0.5,0,0.5"],
+])
+def test_negative_numbers_are_flag_values(diag_file, capsys, argv):
+    subcommand, flag, value = argv
+    outputs = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        assert dispatch([subcommand, "--model", diag_file, *form]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]  # the table on stdout, the manifest on stderr
+
+
+def test_negative_exponent_time_replays_its_manifest(tmp_path, tvcar1_file):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert dispatch(["kernel", "--model", tvcar1_file, "--t=-1e-5", "--N", "4",
+                     "--du", "0.01", "--out", str(first)]) == 0
+    replay = json.loads(Path(str(first) + ".manifest.json").read_text())["argv_resolved"]
+    assert replay[replay.index("--t") + 1] == "-1.0000000000000001e-05"
+    assert dispatch(replay[:-1] + [str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

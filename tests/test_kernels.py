@@ -256,6 +256,44 @@ def test_ode_kernel_across_jumps_matches_per_lag_transitions():
         assert abs(grid.values[j] - ref) <= 1e-8
 
 
+def test_comm_kernel_across_a_kink_matches_closed_form():
+    # a(t) = 1.8 - 4t up to 0.2, then 0.2 + 4t: continuous, with a kink at
+    # lag 0.4; only du = 0.01 and 0.005 put it on a lag node
+    a = PiecewisePolynomial([0.2], [[1.8, -4.0], [0.2, 4.0]])
+    N, t = 4, 0.3
+
+    def antiderivative(s):
+        return np.where(s <= 0.2, 1.8 * s - 2.0 * s**2, 0.16 + 0.2 * s + 2.0 * s**2)
+
+    for du in (0.01, 0.007, 0.005, 0.0033):
+        grid = kernel_grid(_scalar_model(a), N, t, u_max=3.0, du=du)
+        assert grid.route == "comm"
+        u = grid.u_grid
+        exact = np.exp(-N * (antiderivative(t) - antiderivative(t - u / N)))
+        assert np.abs(grid.values - exact).max() <= 1e-12
+
+
+def test_ode_kernel_across_a_kink_matches_per_lag_transitions():
+    # non-commuting, with a kink at t = 0.2: at lag 1.2148 (inside a panel)
+    # for t = 0.5037, at lag 1.2 (a panel holds it for du = 0.007) for t = 0.5
+    A = MatrixFunction([[Constant(0.0), Constant(1.0)],
+                        [Constant(-4.0), PiecewisePolynomial([0.2], [[-3.0, 2.0], [-2.2, -2.0]])]],
+                       what="A")
+    m = StateSpaceModel(2, A, [1.0, 0.5], [Affine(0.2, 0.1), Constant(1.0)],
+                        {"brownian_variance": 1.0})
+    N = 4
+    for t, du in ((0.5037, 0.01), (0.5037, 0.005), (0.5, 0.007)):
+        grid = kernel_grid(m, N, t, u_max=3.0, du=du)
+        assert grid.route == "ode"
+        shifted = A.reparametrized(t, 1.0 / N)
+        for j in range(5, len(grid.u_grid), 35):
+            u = grid.u_grid[j]
+            psi = ode_transition(shifted, -u, 0.0, steps=int(2000 * u)).value
+            ref = m.B.eval_vec(t) @ psi @ m.C.eval_vec(t - u / N)
+            # 1.8e-9 to 3.0e-8 with the kink's panel left uncut
+            assert abs(grid.values[j] - ref) <= 1e-9
+
+
 def test_jump_outside_the_window_changes_nothing():
     # the lags reach back to t - u_max/N = -0.45 only
     grid = kernel_grid(_scalar_model(Step(-0.5, 1.5, 2.0)), 4, 0.3, u_max=3.0, du=0.01)

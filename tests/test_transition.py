@@ -22,7 +22,7 @@ from tvls import (
     peano_baker,
 )
 from tvls.quadrature import nudge_off_break, split_interval
-from tvls.transition import _rk4_panels
+from tvls.transition import _ordered_products, _rk4_panels
 
 
 @pytest.fixture
@@ -228,20 +228,61 @@ def test_rk4_panels_match_scalar_loop(rk4_step_loop):
             assert np.abs(phi - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_ode_transition_matches_scalar_loop_and_series(noncomm_family, rk4_step_loop):
-    kinked = MatrixFunction([[Constant(0.0), Constant(1.0)],
-                             [PiecewisePolynomial([0.4], [[-2.0, -1.0], [-2.8, 1.0]]),
-                              Constant(-3.0)]], what="A")
-    stepped = MatrixFunction([[Step(1.0, -1.0, -2.0), Constant(0.5)],
-                              [Constant(0.0), Constant(-1.0)]], what="A")
+@pytest.fixture
+def kinked_family():
+    return MatrixFunction([[Constant(0.0), Constant(1.0)],
+                           [PiecewisePolynomial([0.4], [[-2.0, -1.0], [-2.8, 1.0]]),
+                            Constant(-3.0)]], what="A")
+
+
+@pytest.fixture
+def stepped_family():
+    return MatrixFunction([[Step(1.0, -1.0, -2.0), Constant(0.5)],
+                           [Constant(0.0), Constant(-1.0)]], what="A")
+
+
+def test_ordered_products_match_sequential_loop():
+    rng = np.random.default_rng(5)
+    for p in (1, 2, 3):
+        for n in (1, 2, 3, 5, 47, 48, 129):
+            # near-identity factors, as RK4 step matrices are
+            mats = np.eye(p) + 0.05 * rng.standard_normal((n, p, p))
+            runs = (mats, mats[:(n + 1) // 2])
+            for run, out in zip(runs, _ordered_products(*runs)):
+                ref = np.eye(p)
+                for m in run:
+                    ref = m @ ref
+                assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_ode_transition_matches_scalar_loop_and_series(noncomm_family, kinked_family,
+                                                       stepped_family, rk4_step_loop):
     cases = [(noncomm_family, 0.0, 1.0, 256), (noncomm_family, -0.7, 2.3, 370),
-             (kinked, 0.0, 1.5, 200), (kinked, 0.4, 1.0, 64), (stepped, 0.0, 2.0, 128)]
+             (kinked_family, 0.0, 1.5, 200), (kinked_family, 0.4, 1.0, 64),
+             (stepped_family, 0.0, 2.0, 128)]
     for A, s0, s, steps in cases:
         out = ode_transition(A, s0, s, steps)
         ref = _rk4_run_loop(A, s0, s, steps, rk4_step_loop)
         assert np.abs(out.value - ref).max() <= 1e-13 * np.abs(ref).max()
         series = peano_baker(A, s0, s).value
         assert np.abs(out.value - series).max() < 1e-7
+
+
+@pytest.mark.parametrize("steps", [1, 3, 48, 370])
+def test_ode_error_estimate_is_the_distance_between_two_step_loops(
+        noncomm_family, kinked_family, stepped_family, rk4_step_loop, steps):
+    coarse_steps = steps // 2 if steps >= 2 else 2
+    for A, s0, s in ((noncomm_family, -0.7, 2.3), (kinked_family, 0.0, 1.5),
+                     (stepped_family, 0.0, 2.0)):
+        out = ode_transition(A, s0, s, steps)
+        fine = _rk4_run_loop(A, s0, s, steps, rk4_step_loop)
+        coarse = _rk4_run_loop(A, s0, s, coarse_steps, rk4_step_loop)
+        scale = np.abs(fine).max()
+        assert np.abs(out.value - fine).max() <= 1e-13 * scale
+        assert abs(out.error_estimate - np.linalg.norm(fine - coarse)) <= 1e-13 * scale
+        # each piece between breakpoints takes a rounded share of the steps
+        assert out.terms_or_steps == sum(max(1, int(round(steps * (hi - lo) / (s - s0))))
+                                         for lo, hi in split_interval(s0, s, A.breakpoints))
 
 
 def test_ode_transition_on_callback_matches_analytic_family():
