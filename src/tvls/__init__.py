@@ -46,7 +46,6 @@ from .transition import (
 )
 from .kernels import (
     KernelGrid,
-    car1_kernel,
     kernel_grid,
     l2_distance,
     convergence_diagnostic,

@@ -18,21 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, PreconditionError, SmoothnessError, TailMassWarning
+from .errors import GridMismatchError, PreconditionError, TailMassWarning
 from .model import sup_norm
-from .quadrature import (
-    _grid_steps,
-    composite_simpson,
-    cumulative_simpson,
-    nudge_off_break,
-    trapezoid,
-)
-from .transition import _resolve_route, _rk4_panels, matrix_exp
+from .quadrature import _grid_steps, _partition, cumulative_simpson, trapezoid
+from .transition import _resolve_route, _rk4_panels, _rk4_run, matrix_exp
 
 __all__ = [
     "KernelGrid",
     "ConvergenceReport",
-    "car1_kernel",
     "kernel_grid",
     "l2_distance",
     "convergence_diagnostic",
@@ -93,28 +86,6 @@ class ConvergenceReport:
         return [d for _, d in self.rows]
 
 
-def _car1_panels(u):
-    return max(32, int(np.ceil(u / 0.05)))
-
-
-def car1_kernel(a, N, t, u):
-    """Finite-N kernel of the scalar model dX = -a(.) X dt + L(dt).
-
-    Equals exp(-int_{-u}^{0} a(s/N + t) ds), evaluated by composite
-    Simpson quadrature.  Negative lags return 0 (causality).
-    """
-    if not a.is_continuous:
-        raise SmoothnessError("car1_kernel requires a continuous damping coefficient")
-    N = _check_n(N)
-    u = float(u)
-    if u < 0:
-        return 0.0
-    if u == 0.0:
-        return 1.0
-    integral = composite_simpson(lambda s: a.value(s / N + t), -u, 0.0, _car1_panels(u))
-    return float(np.exp(-integral))
-
-
 def _check_n(N):
     if N == "limit":
         return N
@@ -156,77 +127,46 @@ def _limit_grid_values(m, t, u_grid):
     return vals
 
 
-def _breaks_crossed(A, N, t, u_grid):
-    """Breakpoints b of A (jumps and kinks) that the lag grid crosses, by increasing lag.
+def _cut_panels(A, args):
+    """Lag panels that hold a breakpoint of A, ends included, in increasing order.
 
-    Lag u takes the coefficient at t - u/N, so b is crossed when the nodes'
-    arguments straddle it: t - u_max/N <= b < t.
+    ``args`` are the lag nodes' coefficient arguments t - u_j/N, so panel j
+    spans the arguments [args[j + 1], args[j]].  A breakpoint on a lag node
+    cuts both panels that share the node, so neither takes a value from the
+    wrong side of it.
     """
-    args = t + (1.0 / N) * -u_grid[[0, -1]]
-    return [b for b in reversed(A.breakpoints) if args[1] <= b < args[0]]
+    breaks = np.asarray(A.breakpoints)
+    if not len(breaks):
+        return []
+    holds = (args[1:, None] <= breaks) & (breaks <= args[:-1, None])
+    return np.flatnonzero(holds.any(axis=1)).tolist()
 
 
-def _above(A, b):
-    """Where A takes its right limit at the breakpoint b: b itself when A is
-    continuous (a kink), else just above b, past a possible jump."""
-    return b if A.is_continuous else nudge_off_break(b)
+def _panel_integral(A, N, args, j):
+    """int A(t - x/N) dx over lag panel j, by Simpson's rule on each piece of
+    the partition of its arguments, with one-sided values at the cuts."""
+    return sum(N * (hi - lo) / 6.0 * (A.eval(first) + 4.0 * A.eval(0.5 * (lo + hi)) + A.eval(hi))
+               for (lo, hi), first in _partition(A, args[j + 1], args[j], lambda width: 1))
 
 
-def _simpson(A, lo, hi, f_lo, f_hi, N):
-    """Simpson's rule for int A(t - x/N) dx over the lags whose arguments span [lo, hi]."""
-    return N * (hi - lo) / 6.0 * (f_lo + 4.0 * A.eval(0.5 * (lo + hi)) + f_hi)
+def _cumulative(A, N, avals, du, args, cut):
+    """int_0^{u_j} A(t - x/N) dx at each lag node, with the ``cut`` panels
+    integrated piecewise (:func:`_panel_integral`).
 
-
-def _cut_cumulative(A, N, avals, du, args, breaks, first):
-    """int_0^{u_j} A(t - x/N) dx at each lag node, cut at the ``breaks``.
-
-    ``args`` are the nodes' coefficient arguments and ``first`` the first
-    node past each breakpoint b (argument at most b).  Between two cuts the
-    nodes take cumulative Simpson; a partial panel from a cut to its
-    neighbouring node takes Simpson's rule with the one-sided limit at the
-    cut: the value at b itself past it (A takes its left limit there), the
-    value just above b before it.
+    Runs of uncut panels take cumulative Simpson on their nodes; a run of
+    one panel takes Simpson's rule instead of the trapezoid.
     """
-    cum = np.empty_like(avals)
-    total = np.zeros(avals.shape[1:])
-    starts, ends = [None, *breaks], [*breaks, None]
-    bounds = [0, *first, len(args)]
-    for start, end, ja, jb in zip(starts, ends, bounds[:-1], bounds[1:]):
-        f_start = None if start is None else A.eval(start)
-        f_end = None if end is None else A.eval(_above(A, end))
-        if ja == jb:  # no node between the two cuts
-            total = total + _simpson(A, end, start, f_end, f_start, N)
-            continue
-        if start is not None:
-            total = total + _simpson(A, args[ja], start, avals[ja], f_start, N)
-        body = cumulative_simpson(avals[ja:jb], du)
-        if jb - ja == 2:  # one panel: Simpson's rule instead of the trapezoid
-            body[1] = _simpson(A, args[ja + 1], args[ja], avals[ja + 1], avals[ja], N)
-        cum[ja:jb] = total + body
-        total = total + body[-1]
-        if end is not None:
-            total = total + _simpson(A, end, args[jb - 1], f_end, avals[jb - 1], N)
+    cum = np.zeros_like(avals)
+    start, last = 0, len(args) - 1
+    for stop in [*cut, last]:  # nodes start .. stop, then cut panel stop
+        if stop - start == 1:
+            cum[stop] = cum[start] + _panel_integral(A, N, args, start)
+        elif stop > start:
+            cum[start:stop + 1] = cum[start] + cumulative_simpson(avals[start:stop + 1], du)
+        if stop < last:
+            cum[stop + 1] = cum[stop] + _panel_integral(A, N, args, stop)
+        start = stop + 1
     return cum
-
-
-def _cut_panel(A, N, args, breaks, n_sub, du):
-    """RK4 propagator over the lag panel whose node arguments are ``args`` (hi, lo).
-
-    The panel is split at the ``breaks`` inside it; each piece takes steps in
-    proportion to its width, and starts just above a breakpoint (right limit)
-    and ends on one (left limit).
-    """
-    edges = [args[1], *sorted(breaks), args[0]]
-    phi = np.eye(A.shape[0])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi == lo:
-            continue
-        steps = max(1, int(round(n_sub * N * (hi - lo) / du)))
-        stage = np.linspace(lo, hi, 2 * steps + 1)
-        if lo in breaks:
-            stage[0] = _above(A, lo)
-        phi = _rk4_panels(A.eval_array(stage)[None], N * (hi - lo) / steps)[0] @ phi
-    return phi
 
 
 def _finite_grid_values(m, N, t, u_grid, route):
@@ -234,18 +174,11 @@ def _finite_grid_values(m, N, t, u_grid, route):
     shifted = m.A.reparametrized(t, 1.0 / N)
     c_vals = m.C.eval_array(t - u_grid / N)[:, :, 0]
     bt = m.B.eval_vec(t)
-    breaks = _breaks_crossed(m.A, N, t, u_grid)
-    if breaks:
-        # The lag nodes' coefficient arguments, and the first node past each break.
-        args = t + (1.0 / N) * -u_grid
-        first = np.searchsorted(-args, [-b for b in breaks])
+    args = t + (1.0 / N) * -u_grid  # the lag nodes' coefficient arguments
+    cut = _cut_panels(m.A, args)
     if route == "comm":
         # Psi(0, -u) = exp(int_0^u A(t - x/N) dx), cumulatively over the grid.
-        avals = shifted.eval_array(-u_grid)
-        if breaks:
-            cum = _cut_cumulative(m.A, N, avals, du, args, breaks, first)
-        else:
-            cum = cumulative_simpson(avals, du)
+        cum = _cumulative(m.A, N, shifted.eval_array(-u_grid), du, args, cut)
         if m.p == 1:
             rows = np.exp(cum[:, 0, 0])[:, None] * bt[None, :]
         else:
@@ -264,11 +197,8 @@ def _finite_grid_values(m, N, t, u_grid, route):
     panels = np.lib.stride_tricks.sliding_window_view(
         a_stage, 2 * n_sub + 1, axis=0)[::2 * n_sub]
     phis = _rk4_panels(np.moveaxis(panels, -1, 1), du / n_sub)[::-1]
-    if breaks:
-        # Rebuild each panel a break falls in: node j before it, j + 1 past it.
-        for j in sorted(set(first - 1)):
-            inside = [b for b, f in zip(breaks, first) if f - 1 == j]
-            phis[j] = _cut_panel(m.A, N, args[j:j + 2], inside, n_sub, du)
+    for j in cut:  # RK4 over the panel's arguments, in steps of N times their width
+        phis[j] = _rk4_run(m.A, args[j + 1], args[j], n_sub, scale=N)[0][0]
     values = np.empty(len(u_grid))
     row = bt.astype(float).copy()
     values[0] = row @ c_vals[0]

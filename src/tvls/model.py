@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError, SmoothnessError
 from .levy import LevyModel
+from .quadrature import _window_grid
 
 __all__ = [
     "ScalarFunction",
@@ -237,7 +238,9 @@ class PiecewisePolynomial(ScalarFunction):
 
     ``coefficients[i]`` are ascending powers of t on segment i; segment
     boundaries are half-open so a breakpoint belongs to the segment on its
-    left.  Derivatives at a breakpoint use the right-hand segment.
+    right, whose value there agrees with the left segment's to the 1e-9
+    continuity check.  Derivatives at a breakpoint are therefore the
+    right-hand ones.
     """
 
     family = "piecewise_polynomial"
@@ -424,6 +427,9 @@ class MatrixFunction:
         self.entries = [[_coerce_scalar(e, what) for e in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0])
+        # Every grid partition reads these, so they are worked out once.
+        self.breakpoints = tuple(sorted({b for row in self.entries for e in row
+                                         for b in e.breakpoints}))
 
     @property
     def shape(self):
@@ -465,14 +471,6 @@ class MatrixFunction:
             for j, e in enumerate(row):
                 out[..., i, j] = e.nth_derivative(t, order)
         return out
-
-    @property
-    def breakpoints(self):
-        pts = set()
-        for row in self.entries:
-            for e in row:
-                pts.update(e.breakpoints)
-        return tuple(sorted(pts))
 
     @property
     def is_continuous(self):
@@ -556,12 +554,9 @@ class _ShiftedMatrixFunction:
 
 
 def sup_norm(matrix, lo, hi, samples=33):
-    """Max Frobenius norm of a matrix function over a sampled window."""
-    pts = list(np.linspace(lo, hi, samples))
-    for b in matrix.breakpoints:
-        if lo < b < hi:
-            pts.extend([b, b + 1e-9 * max(1.0, abs(b))])
-    vals = matrix.eval_array(np.asarray(sorted(pts)))
+    """Max Frobenius norm of a matrix function over a sampled window: a
+    uniform grid plus every interior breakpoint and its right limit."""
+    vals = matrix.eval_array(_window_grid(matrix, lo, hi, samples))
     return float(np.sqrt((vals**2).sum(axis=(1, 2))).max())
 
 

@@ -1,12 +1,13 @@
-"""Fixed-grid quadrature helpers (trapezoid, composite Simpson, cumulative forms).
+"""Fixed-grid quadrature helpers and the breakpoint partition behind every grid.
 
-All routines work on uniform node grids.  Integrands with known interior
-breakpoints are handled by partitioning the interval and chaining the
-per-piece results, which the callers assemble via :func:`split_interval`
-and :func:`piece_nodes`.
+The rules (trapezoid, cumulative Simpson) work on uniform node grids.  A
+coefficient with breakpoints (jumps or kinks) is integrated piece by piece:
+:func:`_partition` cuts an interval at every breakpoint and spaces steps
+uniformly between the cuts, and a piece that starts on a breakpoint first
+evaluates the coefficient at its right limit there (:func:`_right_limit`).
+Transitions, kernels, simulated paths and certificate sample grids all
+take these two.
 """
-
-import math
 
 import numpy as np
 
@@ -48,27 +49,6 @@ def trapezoid_weights(n, h):
     return weights
 
 
-def composite_simpson(f, a, b, panels):
-    """Integrate ``f`` over [a, b] with ``panels`` Simpson panels.
-
-    ``f`` must accept an ndarray of nodes and return values of the same
-    leading shape.  One panel spans two subintervals (three nodes).
-    """
-    panels = int(panels)
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    if b == a:
-        probe = np.asarray(f(np.array([a])))
-        return np.zeros(probe.shape[1:], dtype=probe.dtype) if probe.ndim > 1 else 0.0
-    nodes = np.linspace(a, b, 2 * panels + 1)
-    vals = np.asarray(f(nodes))
-    h = (b - a) / (2 * panels)
-    w = np.ones(len(nodes))
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return (h / 3.0) * np.tensordot(w, vals, axes=(0, 0))
-
-
 def cumulative_simpson(y, h):
     """Cumulative integral of uniformly sampled values along axis 0.
 
@@ -101,29 +81,37 @@ def cumulative_simpson(y, h):
     return out
 
 
-def split_interval(a, b, breakpoints):
-    """Partition [a, b] at the supplied interior breakpoints.
+def _right_limit(A, b):
+    """Where A takes its right limit at its breakpoint ``b``.
 
-    Returns a list of (lo, hi) pieces in increasing order; breakpoints
-    outside the open interval are ignored.
+    That is b itself when A is continuous (b is a kink), and otherwise a
+    point just above b, past a possible jump.  At b itself every family takes
+    its left limit: a step takes its left value there.
     """
-    if b < a:
-        raise ValueError("interval must satisfy a <= b")
-    interior = sorted({float(p) for p in breakpoints if a < p < b})
-    edges = [float(a)] + interior + [float(b)]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    return b if A.is_continuous else b + 1e-9 * max(1.0, abs(b))
 
 
-def piece_nodes(lo, hi, max_h, min_subintervals=2):
-    """Uniform node grid on one piece with an even subinterval count."""
-    width = hi - lo
-    _check_grid_budget(width / max_h, "quadrature nodes")
-    n_sub = max(min_subintervals, int(math.ceil(width / max_h)))
-    if n_sub % 2:
-        n_sub += 1
-    return np.linspace(lo, hi, n_sub + 1)
+def _window_grid(A, lo, hi, n):
+    """Sample points for sups over [lo, hi], in increasing order: ``n``
+    uniform points, plus every interior breakpoint of A and its right limit."""
+    pts = np.linspace(lo, hi, n)
+    inner = [b for b in A.breakpoints if lo < b < hi]
+    if not inner:
+        return pts
+    pts = np.concatenate([pts, inner, [_right_limit(A, b) for b in inner]])
+    return np.unique(np.clip(pts, lo, hi))
 
 
-def nudge_off_break(x, scale=1.0):
-    """Offset slightly above ``x`` to evaluate a right-limit at a jump."""
-    return x + 1e-9 * max(1.0, abs(x), abs(scale))
+def _partition(A, lo, hi, steps):
+    """Pieces of [lo, hi] cut at every breakpoint of A inside it, each one uniform.
+
+    ``steps(width)`` is the step count of a piece of that width.  Returns one
+    ``(edges, first)`` pair per piece, in increasing order: the piece's
+    uniform step edges, and where it first evaluates A, which is the right
+    limit (:func:`_right_limit`) when ``edges[0]`` is a breakpoint of A and
+    ``edges[0]`` itself otherwise.  Neighbouring pieces share their cut.
+    """
+    breaks = A.breakpoints
+    cuts = [lo] + [b for b in breaks if lo < b < hi] + [hi]
+    return [(np.linspace(a, b, steps(b - a) + 1), _right_limit(A, a) if a in breaks else a)
+            for a, b in zip(cuts, cuts[1:])]

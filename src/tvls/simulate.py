@@ -8,8 +8,9 @@ with midpoint-frozen propagators,
 
 which is exact for constant coefficients and second-order accurate in the
 coefficient variation otherwise.  Steps subdivide until ||A|| h <= 0.1, and
-stationarity at the first observation time is reached by a burn-in segment
-of 12 decay times started from the zero state.
+substeps also end at every breakpoint of A, so no step straddles a jump or
+a kink.  Stationarity at the first observation time is reached by a burn-in
+segment of 12 decay times started from the zero state.
 
 Each path owns an independent counter-based bit stream derived from the
 ensemble seed, so ensembles are reproducible and embarrassingly parallel
@@ -19,6 +20,7 @@ n ~ Poisson(rate h), which has exactly the law of a sum of n centered
 Gaussian jumps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from . import quadrature
 from .errors import GridMismatchError, PreconditionError, ZeroVarianceError
 from .model import sup_norm
-from .quadrature import _check_grid_budget
+from .quadrature import _check_grid_budget, _partition
 from .transition import matrix_exp
 
 __all__ = [
@@ -67,8 +69,10 @@ class CovarianceEstimate:
 def _build_steps(m, N, t_grid, burn_in):
     """Driving-time substeps covering burn-in plus the observation grid.
 
-    Returns midpoints in rescaled time, driving-time widths, and for each
-    grid time the number of substeps completed when it is reached.
+    Observation times and the breakpoints of A are both substep edges, in
+    driving time.  Returns midpoints in rescaled time, driving-time widths,
+    and for each grid time the number of substeps completed when it is
+    reached.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -80,19 +84,17 @@ def _build_steps(m, N, t_grid, burn_in):
     max_ds = 0.1 / max(1.0, norm)
     bounds = np.concatenate([[N * lo], N * t_grid])
     spans = np.diff(bounds)
-    _check_grid_budget(np.ceil(spans[spans > 0] / max_ds).sum(), "simulate_paths substeps")
-    mids, widths, obs_idx = [], [], []
-    done = 0
-    for k in range(len(bounds) - 1):
-        s1, s2 = bounds[k], bounds[k + 1]
-        if s2 > s1:
-            n_sub = int(np.ceil((s2 - s1) / max_ds))
-            edges = np.linspace(s1, s2, n_sub + 1)
-            mids.extend(0.5 * (edges[1:] + edges[:-1]) / N)
-            widths.extend(np.diff(edges))
-            done += n_sub
-        obs_idx.append(done)
-    return t_grid, np.asarray(mids), np.asarray(widths), obs_idx
+    # each breakpoint adds at most one substep
+    _check_grid_budget(np.ceil(spans[spans > 0] / max_ds).sum() + len(m.A.breakpoints),
+                       "simulate_paths substeps")
+    driving = m.A.reparametrized(0.0, 1.0 / N)  # A(s/N), breakpoints in driving time
+    runs = [[edges for edges, _ in _partition(driving, s1, s2, lambda w: math.ceil(w / max_ds))]
+            for s1, s2 in zip(bounds[:-1], bounds[1:])]
+    edges = [piece for run in runs for piece in run]
+    mids = np.concatenate([0.5 * (e[1:] + e[:-1]) / N for e in edges])
+    widths = np.concatenate([np.diff(e) for e in edges])
+    obs_idx = np.cumsum([sum(len(e) - 1 for e in run) for run in runs]).tolist()
+    return t_grid, mids, widths, obs_idx
 
 
 def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,

@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import DivergenceError, PreconditionError
 from .model import sup_norm
-from .quadrature import (
-    _check_grid_budget,
-    cumulative_simpson,
-    nudge_off_break,
-    piece_nodes,
-    split_interval,
-)
+from .quadrature import _check_grid_budget, _partition, cumulative_simpson
 
 __all__ = [
     "TransitionMatrix",
@@ -123,22 +117,9 @@ def _norm_estimate(A, s0, s):
     return max(1.0, sup_norm(A, s0, s))
 
 
-def _quad_pieces(A, s0, s, max_h):
-    """Per-piece uniform node grids with evaluation points nudged off jumps.
-
-    Returns a list of (nodes, eval_points) pairs covering [s0, s]; the
-    first evaluation point of a piece is shifted just past a breakpoint so
-    right-limits are used when integrating forward across a jump.
-    """
-    breaks = set(A.breakpoints)
-    pieces = []
-    for lo, hi in split_interval(s0, s, breaks):
-        nodes = piece_nodes(lo, hi, max_h)
-        ev = nodes.copy()
-        if lo in breaks:
-            ev[0] = nudge_off_break(lo)
-        pieces.append((nodes, ev))
-    return pieces
+def _simpson_steps(max_h):
+    """Step count of a quadrature piece: even, at least 2, steps at most ``max_h``."""
+    return lambda width: 2 * math.ceil(width / max_h / 2)
 
 
 def _identity_result(A, method):
@@ -166,8 +147,9 @@ def peano_baker(A, s0, s, tol=1e-12, max_terms=64):
         return _identity_result(A, "peano_baker")
     p = A.shape[0]
     max_h = 0.02 / _norm_estimate(A, s0, s)
-    pieces = _quad_pieces(A, s0, s, max_h)
-    node_vals = [A.eval_array(ev) for _, ev in pieces]
+    _check_grid_budget((s - s0) / max_h, "quadrature nodes")
+    pieces = _partition(A, s0, s, _simpson_steps(max_h))
+    node_vals = [A.eval_array(np.r_[first, nodes[1:]]) for nodes, first in pieces]
     steps = [nodes[1] - nodes[0] for nodes, _ in pieces]
 
     terms = [np.broadcast_to(np.eye(p), v.shape).copy() for v in node_vals]
@@ -218,18 +200,6 @@ def _rk4_panels(a_stage, h):
     return phi
 
 
-def _run_edges(pieces, steps):
-    """Step edges of an RK4 run in about ``steps`` steps over consecutive pieces.
-
-    Each piece (between breakpoints) gets a share of the steps proportional
-    to its length.
-    """
-    total = pieces[-1][1] - pieces[0][0]
-    return np.concatenate(
-        [np.linspace(lo, hi, max(1, int(round(steps * (hi - lo) / total))) + 1)[:-1]
-         for lo, hi in pieces] + [[pieces[-1][1]]])
-
-
 def _ordered_products(*runs):
     """The ordered product run[-1] @ ... @ run[0] of each stack of matrices.
 
@@ -248,29 +218,34 @@ def _ordered_products(*runs):
     return mats[:, 0]
 
 
-def _rk4_run(A, s0, s, steps, coarse_steps):
-    """RK4 transitions over [s0, s] in ``steps`` and in ``coarse_steps`` steps.
+def _rk4_run(A, s0, s, *counts, scale=1.0):
+    """RK4 transitions of ``scale * A`` over [s0, s], one for each step count.
 
-    Each is the ordered product of its step matrices; the stage points of
-    both runs are evaluated and advanced together.  A step that starts on a
-    breakpoint is evaluated just past it, so right-limits are used when
-    integrating forward across a jump.  Returns the two transitions and the
-    step count of the first run.
+    Each run is the partition of [s0, s] at the breakpoints of A, every piece
+    taking a rounded share of the run's steps, and its transition is the
+    ordered product of its step matrices.  The stage points of all runs are
+    evaluated and advanced together; a piece that starts on a breakpoint
+    takes its right limit there.  Returns the transitions and the step count
+    of the first run.
     """
-    breaks = A.breakpoints
-    pieces = split_interval(s0, s, breaks)
-    runs = [_run_edges(pieces, n) for n in (steps, coarse_steps)]
-    starts = np.concatenate([edges[:-1] for edges in runs])
-    ends = np.concatenate([edges[1:] for edges in runs])
+    runs = [_partition(A, s0, s, lambda width, n=n: max(1, round(n * width / (s - s0))))
+            for n in counts]
+    pieces = [piece for run in runs for piece in run]
+    starts = np.concatenate([edges[:-1] for edges, _ in pieces])
+    ends = np.concatenate([edges[1:] for edges, _ in pieces])
     h = ends - starts
     pts = np.stack([starts, starts + h / 2, ends], axis=1)  # node, midpoint, node
-    if breaks:
-        at_break = np.isin(starts, breaks)
-        pts[at_break, 0] = [nudge_off_break(lo) for lo in starts[at_break]]
-    step_mats = _rk4_panels(A.eval_array(pts), h)
-    used = len(runs[0]) - 1
-    fine, coarse = _ordered_products(step_mats[:used], step_mats[used:])
-    return fine, coarse, used
+    head = 0
+    for edges, first in pieces:
+        pts[head, 0] = first
+        head += len(edges) - 1
+    step_mats = _rk4_panels(A.eval_array(pts), scale * h)
+    head, split = 0, []
+    for run in runs:
+        used = sum(len(edges) - 1 for edges, _ in run)
+        split.append(step_mats[head:head + used])
+        head += used
+    return _ordered_products(*split), len(split[0])
 
 
 def ode_transition(A, s0, s, steps=256):
@@ -289,7 +264,7 @@ def ode_transition(A, s0, s, steps=256):
         raise PreconditionError("ode_transition requires s >= s0")
     if s == s0:
         return _identity_result(A, "ode")
-    psi, coarse, used = _rk4_run(A, s0, s, steps, steps // 2 if steps >= 2 else 2)
+    (psi, coarse), used = _rk4_run(A, s0, s, steps, steps // 2 if steps >= 2 else 2)
     err = float(np.linalg.norm(psi - coarse))
     return TransitionMatrix(psi, "ode", err, used)
 
@@ -353,15 +328,13 @@ def commutative_transition(A, s0, s, tol=1e-8):
             f"> {tol:g}); use the series or Runge-Kutta route")
 
     def integral(max_h):
-        total = np.zeros(A.shape)
-        count = 0
-        for nodes, ev in _quad_pieces(A, s0, s, max_h):
-            vals = A.eval_array(ev)
-            total = total + cumulative_simpson(vals, nodes[1] - nodes[0])[-1]
-            count += len(nodes)
-        return total, count
+        pieces = _partition(A, s0, s, _simpson_steps(max_h))
+        total = sum(cumulative_simpson(A.eval_array(np.r_[first, nodes[1:]]), nodes[1] - nodes[0])[-1]
+                    for nodes, first in pieces)
+        return total, sum(len(nodes) for nodes, _ in pieces)
 
     max_h = 0.05 / _norm_estimate(A, s0, s)
+    _check_grid_budget((s - s0) / (max_h / 2.0), "quadrature nodes")
     coarse, _ = integral(max_h)
     fine, n_nodes = integral(max_h / 2.0)
     value = matrix_exp(fine)

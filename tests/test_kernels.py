@@ -19,7 +19,6 @@ from tvls import (
     StateSpaceModel,
     Step,
     TailMassWarning,
-    car1_kernel,
     convergence_diagnostic,
     kernel_grid,
     l2_distance,
@@ -28,6 +27,7 @@ from tvls import (
     peano_baker,
 )
 from tvls.cli import dispatch
+from tvls.kernels import _check_n
 from tvls.model import sup_norm
 from tvls.transition import _resolve_route
 
@@ -38,7 +38,52 @@ def _scalar_model(a):
                            [1.0], [1.0], {"brownian_variance": 1.0})
 
 
-# ------------------------------------------------------------ car1 kernels
+# ------------------------------------------- the scalar oracle, car1 kernels
+
+
+def composite_simpson(f, a, b, panels):
+    """Integrate ``f`` over [a, b] with ``panels`` Simpson panels.
+
+    ``f`` must accept an ndarray of nodes and return values of the same
+    leading shape.  One panel spans two subintervals (three nodes).
+    """
+    panels = int(panels)
+    if panels < 1:
+        raise ValueError("panels must be >= 1")
+    if b == a:
+        probe = np.asarray(f(np.array([a])))
+        return np.zeros(probe.shape[1:], dtype=probe.dtype) if probe.ndim > 1 else 0.0
+    nodes = np.linspace(a, b, 2 * panels + 1)
+    vals = np.asarray(f(nodes))
+    h = (b - a) / (2 * panels)
+    w = np.ones(len(nodes))
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    return (h / 3.0) * np.tensordot(w, vals, axes=(0, 0))
+
+
+def _car1_panels(u):
+    return max(32, int(np.ceil(u / 0.05)))
+
+
+def car1_kernel(a, N, t, u):
+    """Finite-N kernel of the scalar model dX = -a(.) X dt + L(dt), the
+    oracle of the ``comm`` route.
+
+    Equals exp(-int_{-u}^{0} a(s/N + t) ds), evaluated by composite
+    Simpson quadrature.  Negative lags return 0 (causality).
+    """
+    if not a.is_continuous:
+        raise SmoothnessError("car1_kernel requires a continuous damping coefficient")
+    N = _check_n(N)
+    u = float(u)
+    if u < 0:
+        return 0.0
+    if u == 0.0:
+        return 1.0
+    integral = composite_simpson(lambda s: a.value(s / N + t), -u, 0.0, _car1_panels(u))
+    return float(np.exp(-integral))
+
 
 
 def test_car1_constant_damping():
@@ -254,6 +299,26 @@ def test_ode_kernel_across_jumps_matches_per_lag_transitions():
         psi = ode_transition(shifted, -u, 0.0, steps=int(2000 * u)).value
         ref = m.B.eval_vec(t) @ psi @ m.C.eval_vec(t - u / N)
         assert abs(grid.values[j] - ref) <= 1e-8
+
+
+def test_ode_kernel_with_a_jump_on_a_lag_node_is_a_product_of_rk4_steps():
+    # non-commuting, piecewise constant: every lag panel is n_sub RK4 steps of
+    # one constant matrix, the right one on the panel that starts on the jump
+    N, t, du = 4, 0.5, 0.01
+    b = t + (1.0 / N) * -(40 * du)  # the coefficient argument of lag node 40
+    A = MatrixFunction([[Step(b, -1.0, -2.0), 1.0], [0.0, -3.0]], what="A")
+    m = StateSpaceModel(2, A, [1.0, 0.5], [0.0, 1.0], {"brownian_variance": 1.0})
+    grid = kernel_grid(m, N, t, u_max=2.0, du=du)
+    assert grid.route == "ode"
+    h = du  # n_sub = 1 at du sup ||A|| = 0.037 <= 0.05
+    steps = {side: np.eye(2) + sum(np.linalg.matrix_power(h * mat, k) / math.factorial(k)
+                                   for k in range(1, 5))
+             for side, mat in (("left", A.eval(b)), ("right", A.eval(1.0)))}
+    row, ref = m.B.eval_vec(t), []
+    for j in range(len(grid.u_grid)):
+        ref.append(row @ m.C.eval_vec(t))
+        row = row @ steps["right" if j < 40 else "left"]
+    assert np.abs(grid.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_comm_kernel_across_a_kink_matches_closed_form():

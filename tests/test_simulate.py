@@ -9,8 +9,10 @@ from tvls import (
     GridMismatchError,
     LevyModel,
     MatrixFunction,
+    PiecewisePolynomial,
     PreconditionError,
     StateSpaceModel,
+    Step,
     ZeroVarianceError,
     covariance,
     empirical_covariance,
@@ -126,6 +128,56 @@ def test_burn_in_doubling_is_immaterial(tvcar1):
     va = empirical_covariance(a, 0.0, 0.0)
     vb = empirical_covariance(b, 0.0, 0.0)
     assert abs(va.estimate - vb.estimate) < 3.0 * (va.stderr + vb.stderr)
+
+
+def _step_model(t_break, a_left=1.0, a_right=3.0):
+    """dX = -a X ds + dL, Y = X, with the damping a jumping from a_left to a_right."""
+    A = MatrixFunction([[Step(t_break, -a_left, -a_right)]], what="A")
+    return StateSpaceModel(1, A, [1.0], [1.0], {"brownian_variance": 1.0})
+
+
+@pytest.mark.parametrize("N", [4, 16, 64])
+def test_substeps_end_at_a_jump(N):
+    # a jump of the damping from 1 to 3 at 0.513 inside [0.4, 0.6]; a substep
+    # straddling it was off exp(-int a) by 3.0e-2, 1.6e-2 and 2.7e-3
+    m = _step_model(0.513)
+    _, mids, widths, _ = _build_steps(m, N, np.array([0.4, 0.6]), 0.0)
+    product = np.prod(np.exp(m.A.eval_array(mids)[:, 0, 0] * widths))
+    exact = math.exp(-N * (0.513 - 0.4) - 3.0 * N * (0.6 - 0.513))
+    assert abs(product / exact - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["kink", "jump"])
+def test_breakpoint_on_an_observation_time_adds_no_substep(kind):
+    # at N = 16 the breakpoint 0.5 is the driving time 8, an observation time
+    t_grid, N = np.array([0.4, 0.5, 0.6]), 16
+    if kind == "kink":
+        a = PiecewisePolynomial([0.5], [[-0.5, -1.0], [-1.5, 1.0]])
+        m = StateSpaceModel(1, MatrixFunction([[a]], what="A"), [1.0], [1.0],
+                            {"brownian_variance": 1.0})
+    else:
+        m = _step_model(0.5)
+    _, mids, widths, obs_idx = _build_steps(m, N, t_grid, 0.0)
+    # ||A|| h <= 0.1 over 1.6 driving-time units on each side
+    per_side = 48 if kind == "jump" else 16
+    assert obs_idx == [0, per_side, 2 * per_side]
+    # midpoint rule: exact for a piecewise-linear exponent
+    integral = -1.6 - 3.0 * 1.6 if kind == "jump" else -N * 0.19
+    product = np.prod(np.exp(m.A.eval_array(mids)[:, 0, 0] * widths))
+    assert abs(product / math.exp(integral) - 1.0) <= 1e-13
+
+
+def test_variance_across_a_jump_matches_the_piecewise_closed_form():
+    # the damping jumps from 1 to 3 at 0.513: the state variance solves
+    # P' = -2 a P + sigma_L in driving time on each side, from P = 1/2
+    m = _step_model(0.513)
+    N, t_grid = 16, np.array([0.5, 0.52, 0.55])
+    ens = simulate_paths(m, N, t_grid, n_paths=4000, seed=29, burn_in=12.0)
+    for t in t_grid:
+        after = max(0.0, N * (t - 0.513))
+        exact = 1.0 / 6.0 + (0.5 - 1.0 / 6.0) * math.exp(-6.0 * after)
+        var = empirical_covariance(ens, t, t)
+        assert abs(var.estimate - exact) < 4.0 * var.stderr
 
 
 def test_grid_mismatch(car1):

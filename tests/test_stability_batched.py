@@ -80,9 +80,6 @@ def eigen_bound_loop(A, window, grid_points=129):
                     "eigen_bound_check requires continuously differentiable "
                     "coefficients; step entries are not differentiable")
     grid = _window_grid(A, lo, hi, grid_points)
-    scale = max(abs(lo), abs(hi), 1.0)
-    for b in A.breakpoints:
-        grid = grid[np.abs(grid - b) > 1e-12 * scale]
     max_re = max(np.linalg.eigvals(A.eval(t)).real.max() for t in grid)
     mu = -max_re
     if mu <= 0.0:

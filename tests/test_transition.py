@@ -21,7 +21,6 @@ from tvls import (
     ode_transition,
     peano_baker,
 )
-from tvls.quadrature import nudge_off_break, split_interval
 from tvls.transition import _ordered_products, _rk4_panels
 
 
@@ -202,16 +201,28 @@ def test_ode_step_crossing():
     assert abs(out.value[0, 0] - math.exp(-3.0)) < 1e-10
 
 
+def split_interval(a, b, breakpoints):
+    """Pieces (lo, hi) of [a, b] between its interior breakpoints, in order."""
+    edges = [float(a), *sorted({float(p) for p in breakpoints if a < p < b}), float(b)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def nudge_off_break(x):
+    """A point just above ``x``, past a jump there."""
+    return x + 1e-9 * max(1.0, abs(x))
+
+
 def _rk4_run_loop(A, s0, s, steps, rk4_step_loop):
     """Reference ode_transition value: each piece between breakpoints advanced
-    step by step on one stage grid, the start of a piece nudged off its break."""
+    step by step on one stage grid; a piece starting on a break of a family
+    that can jump starts just above it, one starting on a kink at the kink."""
     breaks = set(A.breakpoints)
     pieces = split_interval(s0, s, breaks)
     psi = np.eye(A.shape[0])
     for lo, hi in pieces:
         n = max(1, int(round(steps * (hi - lo) / (s - s0))))
         ev = np.linspace(lo, hi, 2 * n + 1)
-        if lo in breaks:
+        if lo in breaks and not A.is_continuous:
             ev[0] = nudge_off_break(lo)
         psi = rk4_step_loop(A.eval_array(ev), (hi - lo) / n) @ psi
     return psi
@@ -283,6 +294,27 @@ def test_ode_error_estimate_is_the_distance_between_two_step_loops(
         # each piece between breakpoints takes a rounded share of the steps
         assert out.terms_or_steps == sum(max(1, int(round(steps * (hi - lo) / (s - s0))))
                                          for lo, hi in split_interval(s0, s, A.breakpoints))
+
+
+def _rk4_polynomial(z):
+    """One classical RK4 step of y' = a y for constant a, with z = h a."""
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+@pytest.mark.parametrize("kind", ["kink", "jump"])
+def test_breakpoint_on_a_step_edge_changes_nothing(kinked_family, rk4_step_loop, kind):
+    # 10 steps of 0.1 over [0, 1]: the breakpoint at 0.4 is already a step edge,
+    # so the cut there adds no step and moves no stage point
+    if kind == "kink":
+        out = ode_transition(kinked_family, 0.0, 1.0, steps=10)
+        ref = rk4_step_loop(kinked_family.eval_array(np.linspace(0.0, 1.0, 21)), 0.1)
+    else:
+        # the step after the jump takes the right value -3 at its first stage
+        A = MatrixFunction([[Step(0.4, -1.0, -3.0)]], what="A")
+        out = ode_transition(A, 0.0, 1.0, steps=10)
+        ref = _rk4_polynomial(-0.1) ** 4 * _rk4_polynomial(-0.3) ** 6
+    assert out.terms_or_steps == 10
+    assert np.abs(out.value - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_ode_transition_on_callback_matches_analytic_family():
