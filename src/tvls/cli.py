@@ -33,7 +33,7 @@ from .errors import PreconditionError, TailMassWarning, TruncationWarning
 from .kernels import convergence_diagnostic, kernel_grid
 from .model import CarmaModel, companion_from_carma, model_from_json
 from .quadrature import _grid_steps
-from .simulate import simulate_paths
+from .simulate import _build_steps, simulate_paths
 from .spectral import GridConfig, spectral_density, wigner_ville, wv_convergence
 from .stability import (
     auto_certificate,
@@ -103,9 +103,9 @@ def _write_text(text, out):
         sys.stdout.write(text)
 
 
-def _emit_manifest(subcommand, params, out, resolved, warned):
+def _emit_manifest(subcommand, params, replayed, out, resolved, warned):
     argv = [subcommand]
-    for key, val in params.items():
+    for key, val in replayed.items():
         if val is not None:
             argv += [_flag(key), "%.17g" % val if isinstance(val, float) else str(val)]
     manifest = {
@@ -185,13 +185,18 @@ def _lambda_grid(lmax, dl):
     return -lmax + dl * np.arange(n + 1)
 
 
+def _certificate_record(cert):
+    """A certificate's route, gamma, lambda and window, or None for no certificate."""
+    if cert is None:
+        return None
+    return {"route": cert.route, "gamma": float(cert.gamma), "lam": float(cert.lam),
+            "window": [float(x) for x in cert.checked_window]}
+
+
 def _resolved(config, **extra):
     """The u_max and certificate a spectral run used, plus ``extra`` entries."""
-    cert = config.certificate
-    if cert is not None:
-        cert = {"route": cert.route, "gamma": float(cert.gamma), "lam": float(cert.lam),
-                "window": [float(x) for x in cert.checked_window]}
-    return {"umax": config.resolved_u_max(), "certificate": cert, **extra}
+    return {"umax": config.resolved_u_max(),
+            "certificate": _certificate_record(config.certificate), **extra}
 
 
 def _certificate(m, args):
@@ -223,13 +228,16 @@ def _cmd_simulate(args):
         raise PreconditionError("simulate: need t1 > t0 and dt > 0")
     n = _grid_steps(args.t1 - args.t0, args.dt, "simulate time grid")
     t_grid = args.t0 + args.dt * np.arange(n + 1)
+    cert = _certificate(m, args)
     ens = simulate_paths(m, args.N, t_grid, args.paths, seed=args.seed,
-                         certificate=_certificate(m, args), burn_in=args.burn_in,
-                         store_states=True)
+                         certificate=cert, burn_in=args.burn_in, store_states=True)
     n_grid = len(ens.t_grid)
     _write_columns((np.repeat(np.arange(ens.n_paths), n_grid), np.tile(ens.t_grid, ens.n_paths),
                     *ens.states.reshape(-1, m.p).T, ens.observations.ravel()), args.out)
-    return {"burn_in": ens.burn_in}, None
+    _, mids, _, obs_idx = _build_steps(m, ens.N, t_grid, ens.burn_in)
+    return {"burn_in": ens.burn_in}, {
+        "certificate": _certificate_record(cert), "burn_in": ens.burn_in,
+        "burn_in_substeps": obs_idx[0], "substeps": len(mids)}
 
 
 def _cmd_kernel(args):
@@ -457,6 +465,8 @@ def dispatch(argv):
 
     A handler returns the values it derived (pinned into the manifest's
     parameters) and the manifest's resolved block, or None for neither.
+    ``argv_resolved`` passes the pinned values that the resolved block does
+    not record; a replay derives the others again, as the run did.
     """
     try:
         args = _parser().parse_args(argv)
@@ -473,8 +483,9 @@ def dispatch(argv):
         finally:
             warned = _manifest_warnings(caught)
         params = {name: getattr(args, name) for name in ["model", *_flag_specs(flags), "out"]}
+        replayed = {**params, **{k: v for k, v in pinned.items() if k not in (resolved or {})}}
         params.update(pinned)
-        _emit_manifest(args.subcommand, params, args.out, resolved, warned)
+        _emit_manifest(args.subcommand, params, replayed, args.out, resolved, warned)
         return 0
     except PreconditionError as exc:
         sys.stderr.write(json.dumps(

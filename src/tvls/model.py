@@ -535,7 +535,29 @@ class _ShiftedMatrixFunction:
     def breakpoints(self):
         if self.rate == 0.0:
             return ()
-        return tuple(sorted((b - self.offset) / self.rate for b in self.base.breakpoints))
+        return tuple(sorted(self._preimage(b) for b in self.base.breakpoints))
+
+    def _preimage(self, b):
+        """The view's breakpoint for the base breakpoint ``b``.
+
+        That is s = (b - offset) / rate, unless its image offset + rate s
+        rounds past b, where a step takes its right value.  Then it is the
+        float nearest s on the other side whose image does not exceed b.
+        Either way the view takes the base's left value at its breakpoint
+        and the right value just past it.
+        """
+        sign = math.copysign(1.0, self.rate)
+
+        def image(x):  # non-decreasing in x
+            return self.offset + self.rate * (sign * x)
+
+        lo = hi = sign * (b - self.offset) / self.rate
+        step = float(np.spacing(abs(lo)))
+        while image(lo) > b:
+            lo, step = lo - step, 2.0 * step
+        while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+            lo, hi = (mid, hi) if image(mid) <= b else (lo, mid)
+        return sign * lo
 
     @property
     def is_continuous(self):

@@ -18,6 +18,12 @@ across path chunks.  Per path and per step the Brownian part contributes
 sqrt(Sigma h) z and the compound-Poisson part std sqrt(n) xi with
 n ~ Poisson(rate h), which has exactly the law of a sum of n centered
 Gaussian jumps.
+
+The recurrence is linear, so the substeps between two observation times
+(the burn-in counts as the first such interval) fold into one affine map
+X -> Phi_k X + sum_j dL_j w_j, built once per call.  A chunk of paths
+draws its increments into one (paths x substeps) buffer, reused for every
+chunk, and then advances one interval per block product.
 """
 
 import math
@@ -97,6 +103,26 @@ def _build_steps(m, N, t_grid, burn_in):
     return t_grid, mids, widths, obs_idx
 
 
+def _interval_blocks(prop, noise_vec, edges):
+    """Each observation interval's step recurrence as one affine map.
+
+    Substeps ``edges[k]`` to ``edges[k + 1]`` take X to Phi_k X plus the sum
+    over j of dL_j R_j v_j, where v_j is substep j's noise vector and R_j
+    the product of the propagators after substep j up to the interval's
+    end.  Returns the Phi_k and the rows R_j v_j of every substep, built in
+    one backward pass.
+    """
+    p = prop.shape[-1]
+    phis, w = [], np.empty_like(noise_vec)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        R = np.eye(p)
+        for j in range(hi - 1, lo - 1, -1):
+            w[j] = R @ noise_vec[j]
+            R = R @ prop[j]
+        phis.append(R)
+    return phis, w
+
+
 def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
                    burn_in=None, store_states=False):
     """Simulate an ensemble of rescaled observation paths.
@@ -141,37 +167,32 @@ def simulate_paths(m, N, t_grid, n_paths, seed=0, certificate=None,
 
     sigma, rate, std = levy.brownian_variance, levy.jump_intensity, levy.jump_std
     g_scale = np.sqrt(sigma * widths)
+    edges = [0] + obs_idx  # interval k (the burn-in is interval 0) ends at grid time k
+    phis, w = _interval_blocks(prop, noise_vec, edges)
     observations = np.empty((n_paths, n_grid))
     states = np.empty((n_paths, n_grid, p)) if store_states else None
 
+    d_l = np.empty((min(chunk, n_paths), n_steps))  # refilled for every chunk
     for c0 in range(0, n_paths, chunk):
         c1 = min(c0 + chunk, n_paths)
         nb = c1 - c0
-        z = np.empty((nb, n_steps))
-        counts = np.empty((nb, n_steps))
-        xi = np.empty((nb, n_steps))
         for ii, i in enumerate(range(c0, c1)):
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-            z[ii] = rng.standard_normal(n_steps)
-            counts[ii] = rng.poisson(rate * widths)
-            xi[ii] = rng.standard_normal(n_steps)
-        d_l = g_scale[None, :] * z + std * np.sqrt(counts) * xi
+            z = rng.standard_normal(n_steps)
+            counts = rng.poisson(rate * widths)
+            xi = rng.standard_normal(n_steps)
+            d_l[ii] = g_scale * z + std * np.sqrt(counts) * xi
 
         X = np.zeros((nb, p))
-        oi = 0
-        while oi < n_grid and obs_idx[oi] == 0:
-            observations[c0:c1, oi] = X @ b_vecs[oi]
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            if hi > lo:
+                # one product per path (a stack of 1-row products), so that a
+                # path's rounding does not depend on how many share its chunk
+                X = X @ phis[k].T + (d_l[:nb, None, lo:hi] @ w[lo:hi])[:, 0, :]
+            observations[c0:c1, k] = X @ b_vecs[k]
             if store_states:
-                states[c0:c1, oi] = X
-            oi += 1
-        for j in range(n_steps):
-            X = X @ prop[j].T + d_l[:, j:j + 1] * noise_vec[j][None, :]
-            while oi < n_grid and obs_idx[oi] == j + 1:
-                observations[c0:c1, oi] = X @ b_vecs[oi]
-                if store_states:
-                    states[c0:c1, oi] = X
-                oi += 1
+                states[c0:c1, k] = X
 
     return PathEnsemble(t_grid=t_grid, observations=observations, states=states,
                         N=N, seed=int(seed), burn_in=burn_in)

@@ -268,7 +268,8 @@ def wigner_ville(m, N, t, lambda_grid, config=None):
     scale = np.abs(vals.real).max()
     if np.abs(vals.imag).max() > 1e-8 * max(scale, 1e-300):
         raise PostconditionError("time-frequency transform has a non-vanishing imaginary part")
-    return SpectrumGrid(t=float(t), lambda_grid=lam, values=vals.real,
+    # a copy, so that a kept spectrum does not hold the complex buffer too
+    return SpectrumGrid(t=float(t), lambda_grid=lam, values=vals.real.copy(),
                         kind="wigner_ville", N=N, route=_fourier_route(s_full, lam))
 
 

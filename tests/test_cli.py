@@ -435,6 +435,25 @@ def test_simulate_burn_in_derived_from_certificate(car1_file, capsys):
     assert manifest_line["manifest"]["parameters"]["burn_in"] == 12.0
 
 
+def test_simulate_manifest_resolves_burn_in_and_substeps(car1_file, capsys):
+    argv = ["simulate", "--model", car1_file, "--N", "4", "--t0", "0", "--t1", "0.5",
+            "--dt", "0.25", "--paths", "1", "--seed", "1"]
+    assert dispatch(argv) == 0
+    manifest = json.loads(capsys.readouterr().err.strip())["manifest"]
+    # ||A|| h <= 0.1: 120 substeps over the burn-in of 12 decay times, and
+    # 10 over each unit of driving time between the three grid times
+    cert = {"route": "lambda_max", "gamma": 1.0, "lam": 1.0, "window": [-3.0, 0.5]}
+    assert manifest["resolved"] == {"certificate": cert, "burn_in": 12.0,
+                                    "burn_in_substeps": 120, "substeps": 140}
+    # a replay derives the burn-in from the same certificate again
+    assert "--burn-in" not in manifest["argv_resolved"]
+    assert dispatch(argv + ["--burn-in", "2"]) == 0
+    manifest = json.loads(capsys.readouterr().err.strip())["manifest"]
+    assert manifest["resolved"] == {"certificate": None, "burn_in": 2.0,
+                                    "burn_in_substeps": 20, "substeps": 40}
+    assert manifest["argv_resolved"][-2:] == ["--burn-in", "2"]
+
+
 def test_simulate_rejects_bad_time_range(car1_file, capsys):
     code = dispatch(["simulate", "--model", car1_file, "--N", "2",
                      "--t0", "1", "--t1", "1", "--dt", "0.5"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvls import (
     Affine,
@@ -21,9 +23,11 @@ from tvls import (
     Step,
     companion_from_carma,
     model_from_json,
+    ode_transition,
     scalar_from_json,
 )
 from tvls.model import sup_norm
+from tvls.quadrature import _right_limit
 
 
 def central_diff(f, t, n, h=1e-5):
@@ -275,6 +279,27 @@ def test_reparametrized_breakpoints():
     assert view.eval(0.25)[0, 0] == 0.0
     assert view.eval(0.26)[0, 0] == 1.0
     assert not view.is_continuous
+
+
+def test_reparametrized_step_is_read_on_the_side_of_its_jump():
+    # (0.19 - 0.5) * 13 maps back to 0.19000000000000006, past the jump, and
+    # RK4 was off exp(int a) by 7.2e-3 there
+    view = MatrixFunction([[Step(0.19, -1.0, -3.0)]]).reparametrized(0.5, 1.0 / 13.0)
+    phi = ode_transition(view, -6.5, 0.0, steps=300).value[0, 0]
+    exact = math.exp(-13.0 * (0.19 + 3.0 * (0.5 - 0.19)))
+    # the RK4 error: b = 0.2, whose round trip is exact, gives 1.8e-6
+    assert abs(phi / exact - 1.0) <= 2e-6
+
+
+@given(offset=st.floats(-10.0, 10.0), rate=st.floats(1e-3, 1e3),
+       b=st.floats(-10.0, 10.0))
+def test_reparametrized_breakpoint_keeps_its_side(offset, rate, b):
+    base = MatrixFunction([[Step(b, -1.0, -3.0)]])
+    view = base.reparametrized(offset, rate)
+    (s,) = view.breakpoints
+    assert offset + rate * s <= b
+    assert view.eval(s)[0, 0] == -1.0
+    assert view.eval(_right_limit(view, s))[0, 0] == -3.0
 
 
 def test_sup_norm():

@@ -1,6 +1,7 @@
 """Tests for path simulation and Monte Carlo covariance estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from tvls import (
     StateSpaceModel,
     Step,
     ZeroVarianceError,
+    auto_certificate,
     covariance,
     empirical_covariance,
     lambda_max_check,
     simulate_paths,
 )
-from tvls.simulate import _build_steps
+from tvls.simulate import _CHUNK, _build_steps
+from tvls.transition import matrix_exp
 
 
 def ou_grid():
@@ -178,6 +181,63 @@ def test_variance_across_a_jump_matches_the_piecewise_closed_form():
         exact = 1.0 / 6.0 + (0.5 - 1.0 / 6.0) * math.exp(-6.0 * after)
         var = empirical_covariance(ens, t, t)
         assert abs(var.estimate - exact) < 4.0 * var.stderr
+
+
+def step_loop_paths(m, N, t_grid, n_paths, seed, burn_in):
+    """Observations and states of the substep recurrence, one substep at a
+    time, from the increments of each path's own stream: the pathwise
+    oracle of the interval blocks."""
+    t_grid, mids, widths, obs_idx = _build_steps(m, N, t_grid, burn_in)
+    half = matrix_exp(m.A.eval_array(mids) * (0.5 * widths)[:, None, None])
+    prop = half @ half
+    noise_vec = (half @ m.C.eval_array(mids))[:, :, 0]
+    levy = m.levy
+    d_l = np.empty((n_paths, len(mids)))
+    for i in range(n_paths):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+        z = rng.standard_normal(len(mids))
+        counts = rng.poisson(levy.jump_intensity * widths)
+        xi = rng.standard_normal(len(mids))
+        d_l[i] = np.sqrt(levy.brownian_variance * widths) * z + levy.jump_std * np.sqrt(counts) * xi
+    X = np.zeros((n_paths, m.p))
+    states = np.empty((n_paths, len(t_grid), m.p))
+    for j in range(len(mids) + 1):
+        for k in np.flatnonzero(np.array(obs_idx) == j):
+            states[:, k] = X
+        if j < len(mids):
+            X = X @ prop[j].T + d_l[:, j:j + 1] * noise_vec[j][None, :]
+    b_vecs = np.array([m.B.eval(t).reshape(m.p) for t in t_grid])
+    return np.einsum("ikp,kp->ik", states, b_vecs), states
+
+
+@pytest.mark.parametrize("burn_in", [0.0, 3.0])
+@pytest.mark.parametrize("name", ["car1", "tvcar1", "drifting_companion", "step"])
+def test_interval_blocks_match_the_step_loop(name, burn_in, request):
+    # the step family jumps inside the interval (0.5, 0.525), which it splits
+    if name == "step":
+        m, N, grid = _step_model(0.513), 16, np.linspace(0.5, 0.6, 5)
+    else:
+        m, N, grid = request.getfixturevalue(name), 8, np.linspace(0.25, 0.5, 6)
+    ens = simulate_paths(m, N, grid, n_paths=6, seed=19, burn_in=burn_in, store_states=True)
+    obs, states = step_loop_paths(m, N, grid, 6, 19, burn_in)
+    assert np.abs(ens.observations - obs).max() <= 1e-13 * np.abs(obs).max()
+    assert np.abs(ens.states - states).max() <= 1e-13 * np.abs(states).max()
+
+
+def test_peak_memory_is_one_chunk_of_increments(drifting_companion):
+    # the benchmark's setting (101 observations at N = 16), with one path
+    # more than a chunk: the second chunk refills the first one's buffer,
+    # as the benchmark's 1 000 paths do, at half their drawing time
+    cert = auto_certificate(drifting_companion.A, (-1.25, 1.0))
+    grid = np.linspace(0.0, 1.0, 101)
+    n_steps = len(_build_steps(drifting_companion, 16, grid, 12.0 / cert.lam)[1])
+    tracemalloc.start()
+    try:
+        simulate_paths(drifting_companion, 16, grid, n_paths=_CHUNK + 1, seed=3, certificate=cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * _CHUNK * n_steps
 
 
 def test_grid_mismatch(car1):

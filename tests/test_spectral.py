@@ -197,6 +197,14 @@ def test_wigner_ville_constant_model_matches_density(car1):
     assert wv.symmetry_defect() < 1e-10
 
 
+def test_spectrum_values_own_their_data(car1):
+    # a view would keep the whole transform buffer alive with the values
+    lam = np.linspace(-2.0, 2.0, 21)
+    assert spectral_density(car1, 0.0, lam).values.base is None
+    coarse = GridConfig(u_max=20.0, du=0.05, s_max=20.0, ds=0.5)
+    assert wigner_ville(car1, 1, 0.0, lam, coarse).values.base is None
+
+
 def test_wigner_ville_rejects_bad_n(car1):
     lam = np.linspace(-2.0, 2.0, 21)
     for N in (0, -3, 2.5, "limit"):
