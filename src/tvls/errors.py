@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the number
+check behind every numeric field of a model."""
+
+import math
+
+import numpy as np
 
 
 class TvlsError(Exception):
@@ -43,3 +48,22 @@ class TailMassWarning(UserWarning):
 
 class TruncationWarning(UserWarning):
     """An integrand was truncated before it decayed to negligible size."""
+
+
+def _is_number(x):
+    """True for a real number; a bool or a numeric string is not one."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _as_float(x, what):
+    """``x`` as a finite float; a PreconditionError naming ``what`` unless
+    it is a real number (:func:`_is_number`)."""
+    if not _is_number(x):
+        raise PreconditionError(f"{what} must be a number, got {x!r}")
+    try:
+        val = float(x)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise PreconditionError(f"{what} must be finite, got {val!r}")
+    return val

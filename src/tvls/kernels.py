@@ -171,14 +171,13 @@ def _cumulative(A, N, avals, du, args, cut):
 
 def _finite_grid_values(m, N, t, u_grid, route):
     du = u_grid[1] - u_grid[0]
-    shifted = m.A.reparametrized(t, 1.0 / N)
     c_vals = m.C.eval_array(t - u_grid / N)[:, :, 0]
     bt = m.B.eval_vec(t)
     args = t + (1.0 / N) * -u_grid  # the lag nodes' coefficient arguments
     cut = _cut_panels(m.A, args)
     if route == "comm":
         # Psi(0, -u) = exp(int_0^u A(t - x/N) dx), cumulatively over the grid.
-        cum = _cumulative(m.A, N, shifted.eval_array(-u_grid), du, args, cut)
+        cum = _cumulative(m.A, N, m.A.eval_array(args), du, args, cut)
         if m.p == 1:
             rows = np.exp(cum[:, 0, 0])[:, None] * bt[None, :]
         else:
@@ -188,10 +187,10 @@ def _finite_grid_values(m, N, t, u_grid, route):
     # one panel at a time via r_{j+1} = r_j Phi_j with Phi_j the transition
     # over s in [-u_{j+1}, -u_j].
     n_panels = len(u_grid) - 1
-    norm = max(1.0, sup_norm(shifted, -u_grid[-1], 0.0))
+    norm = max(1.0, sup_norm(m.A, args[-1], t))
     n_sub = max(1, int(np.ceil(du * norm / 0.05)))
     stage = np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1)
-    a_stage = shifted.eval_array(stage)
+    a_stage = m.A.eval_array(t + (1.0 / N) * stage)
     # Panel i of the stage grid spans nodes 2 n_sub i .. 2 n_sub (i + 1);
     # it is lag panel n_panels - 1 - i, hence the reversal.
     panels = np.lib.stride_tricks.sliding_window_view(

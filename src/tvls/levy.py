@@ -9,9 +9,7 @@ draws each step's increment of this noise.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_float
 
 __all__ = ["LevyModel"]
 
@@ -39,9 +37,10 @@ class LevyModel:
 
     def __post_init__(self):
         for name in ("brownian_variance", "jump_intensity", "jump_std"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise PreconditionError(f"{name} must be finite and >= 0, got {val!r}")
+            val = _as_float(getattr(self, name), f"levy: {name}")
+            if val < 0:
+                raise PreconditionError(f"levy: {name} must be >= 0, got {val!r}")
+            object.__setattr__(self, name, val)
         object.__setattr__(
             self,
             "sigma_l",
@@ -64,8 +63,4 @@ class LevyModel:
             raise PreconditionError(f"levy: unknown field {sorted(extra)[0]!r}")
         if "brownian_variance" not in obj:
             raise PreconditionError("levy: missing field 'brownian_variance'")
-        return cls(
-            float(obj["brownian_variance"]),
-            float(obj.get("jump_intensity", 0.0)),
-            float(obj.get("jump_std", 0.0)),
-        )
+        return cls(obj["brownian_variance"], obj.get("jump_intensity", 0.0), obj.get("jump_std", 0.0))

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError, SmoothnessError
+from .errors import PreconditionError, SmoothnessError, _as_float, _is_number
 from .levy import LevyModel
 from .quadrature import _window_grid
 
@@ -47,13 +47,22 @@ __all__ = [
 class ScalarFunction:
     """Base class for scalar coefficient functions of time.
 
-    Subclasses provide ``value(t)`` (vectorized over ndarrays),
-    ``nth_derivative(t, n)``, ``negated()`` and JSON serialization.
+    A family is a subclass that defines ``value(t)`` (vectorized over
+    ndarrays) and ``_derivative(t, n)`` for n >= 1.  A parametric family
+    also declares ``params`` and ``linear`` and lists its class in
+    ``_FAMILIES``; its constructor, ``negated``, ``to_json`` and JSON
+    loading then follow from the declaration.  The piecewise polynomial and
+    callback families override the constructor, ``negated`` and ``to_json``.
 
     Attributes
     ----------
     family : str
         Family tag used in serialized form.
+    params : tuple of str
+        Parameter names, in constructor and serialized order; each is
+        stored as a finite float attribute of that name.
+    linear : tuple of str
+        The parameters that negation flips; it keeps the others.
     is_continuous : bool
         False only for the step family.
     analytic : bool
@@ -64,119 +73,105 @@ class ScalarFunction:
     """
 
     family = None
+    params = ()
+    linear = ()
     is_continuous = True
     analytic = False
     breakpoints = ()
 
+    def __init__(self, *values):
+        if len(values) != len(self.params):
+            raise PreconditionError(
+                f"{self.family}: params must hold exactly {len(self.params)} numbers "
+                f"({', '.join(self.params)}), got {len(values)}")
+        for i, (name, val) in enumerate(zip(self.params, values)):
+            setattr(self, name, _as_float(val, f"{self.family}: params[{i}]"))
+
     def value(self, t):
         raise NotImplementedError
 
-    def nth_derivative(self, t, n):
+    def _derivative(self, t, n):
         raise NotImplementedError
+
+    def nth_derivative(self, t, n):
+        """The n-th derivative at t; the value itself for n == 0."""
+        return self.value(t) if n == 0 else self._derivative(t, n)
 
     def derivative(self, t):
         return self.nth_derivative(t, 1)
 
     def negated(self):
-        raise NotImplementedError
+        return type(self)(*(-getattr(self, name) if name in self.linear else getattr(self, name)
+                            for name in self.params))
 
     def to_json(self):
-        raise NotImplementedError
+        return {"family": self.family, "params": [getattr(self, name) for name in self.params]}
 
     def __call__(self, t):
         return self.value(t)
 
 
-def _as_float(x, what):
-    try:
-        val = float(x)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"{what} must be a number, got {x!r}") from None
-    if not math.isfinite(val):
-        raise PreconditionError(f"{what} must be finite, got {val!r}")
-    return val
+def _as_list(xs, what):
+    """``xs`` as a list; a PreconditionError naming ``what`` unless it is a sequence."""
+    if isinstance(xs, (str, dict)) or not np.iterable(xs):
+        raise PreconditionError(f"{what} must be a list, got {xs!r}")
+    return list(xs)
+
+
+def _as_int(x, what, lo):
+    """``x`` as an int of at least ``lo``; a PreconditionError naming ``what`` otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < lo:
+        raise PreconditionError(f"{what} must be an integer >= {lo}, got {x!r}")
+    return int(x)
 
 
 class Constant(ScalarFunction):
     family = "constant"
+    params = linear = ("c",)
     analytic = True
-
-    def __init__(self, c):
-        self.c = _as_float(c, "constant: params[0]")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, self.c)
         return out if out.ndim else float(out)
 
-    def nth_derivative(self, t, n):
-        if n == 0:
-            return self.value(t)
+    def _derivative(self, t, n):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
         return out if out.ndim else 0.0
-
-    def negated(self):
-        return Constant(-self.c)
-
-    def to_json(self):
-        return {"family": "constant", "params": [self.c]}
 
 
 class Affine(ScalarFunction):
     """a + b t."""
 
     family = "affine"
+    params = linear = ("a", "b")
     analytic = True
-
-    def __init__(self, a, b):
-        self.a = _as_float(a, "affine: params[0]")
-        self.b = _as_float(b, "affine: params[1]")
 
     def value(self, t):
         return self.a + self.b * np.asarray(t, dtype=float)
 
-    def nth_derivative(self, t, n):
-        if n == 0:
-            return self.value(t)
+    def _derivative(self, t, n):
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, self.b) if n == 1 else np.zeros(t.shape)
         return out if out.ndim else float(out)
-
-    def negated(self):
-        return Affine(-self.a, -self.b)
-
-    def to_json(self):
-        return {"family": "affine", "params": [self.a, self.b]}
 
 
 class Sinusoidal(ScalarFunction):
     """a0 + a1 sin(omega t + phi)."""
 
     family = "sinusoidal"
+    params = ("a0", "a1", "omega", "phi")
+    linear = ("a0", "a1")
     analytic = True
-
-    def __init__(self, a0, a1, omega, phi):
-        self.a0 = _as_float(a0, "sinusoidal: params[0]")
-        self.a1 = _as_float(a1, "sinusoidal: params[1]")
-        self.omega = _as_float(omega, "sinusoidal: params[2]")
-        self.phi = _as_float(phi, "sinusoidal: params[3]")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         return self.a0 + self.a1 * np.sin(self.omega * t + self.phi)
 
-    def nth_derivative(self, t, n):
-        if n == 0:
-            return self.value(t)
+    def _derivative(self, t, n):
         t = np.asarray(t, dtype=float)
         return self.a1 * self.omega**n * np.sin(self.omega * t + self.phi + n * np.pi / 2.0)
-
-    def negated(self):
-        return Sinusoidal(-self.a0, -self.a1, self.omega, self.phi)
-
-    def to_json(self):
-        return {"family": "sinusoidal", "params": [self.a0, self.a1, self.omega, self.phi]}
 
 
 def _sigmoid(x):
@@ -192,17 +187,13 @@ class Logistic(ScalarFunction):
     """a0 + a1 / (1 + exp(-rate (t - center)))."""
 
     family = "logistic"
+    params = ("a0", "a1", "rate", "center")
+    linear = ("a0", "a1")
     analytic = True
 
     # Derivatives of the sigmoid s satisfy s^(n) = rate^n P_n(s) with
     # P_1(u) = u - u^2 and P_{n+1} = P_n' * (u - u^2); ascending coeffs.
     _poly_cache = {1: np.array([0.0, 1.0, -1.0])}
-
-    def __init__(self, a0, a1, rate, center):
-        self.a0 = _as_float(a0, "logistic: params[0]")
-        self.a1 = _as_float(a1, "logistic: params[1]")
-        self.rate = _as_float(rate, "logistic: params[2]")
-        self.center = _as_float(center, "logistic: params[3]")
 
     @classmethod
     def _poly(cls, n):
@@ -218,19 +209,11 @@ class Logistic(ScalarFunction):
         out = self.a0 + self.a1 * s
         return out if out.ndim else float(out)
 
-    def nth_derivative(self, t, n):
-        if n == 0:
-            return self.value(t)
+    def _derivative(self, t, n):
         t = np.asarray(t, dtype=float)
         s = _sigmoid(self.rate * (t - self.center))
         out = self.a1 * self.rate**n * np.polynomial.polynomial.polyval(s, self._poly(n))
         return out if np.ndim(out) else float(out)
-
-    def negated(self):
-        return Logistic(-self.a0, -self.a1, self.rate, self.center)
-
-    def to_json(self):
-        return {"family": "logistic", "params": [self.a0, self.a1, self.rate, self.center]}
 
 
 class PiecewisePolynomial(ScalarFunction):
@@ -244,14 +227,15 @@ class PiecewisePolynomial(ScalarFunction):
     """
 
     family = "piecewise_polynomial"
-    analytic = False
 
     def __init__(self, breakpoints, coefficients):
-        bps = [_as_float(b, "piecewise_polynomial: breakpoints") for b in breakpoints]
+        what = "piecewise_polynomial: breakpoints"
+        bps = [_as_float(b, what) for b in _as_list(breakpoints, what)]
         if sorted(bps) != bps or len(set(bps)) != len(bps):
             raise PreconditionError("piecewise_polynomial: breakpoints must be strictly increasing")
-        coeffs = [np.asarray([_as_float(c, "piecewise_polynomial: coefficients") for c in seg], dtype=float)
-                  for seg in coefficients]
+        what = "piecewise_polynomial: coefficients"
+        coeffs = [np.asarray([_as_float(c, what) for c in _as_list(seg, what)], dtype=float)
+                  for seg in _as_list(coefficients, what)]
         if len(coeffs) != len(bps) + 1:
             raise PreconditionError(
                 "piecewise_polynomial: need one more coefficient list than breakpoints")
@@ -268,7 +252,7 @@ class PiecewisePolynomial(ScalarFunction):
                     f"piecewise_polynomial: discontinuous at breakpoint {b} "
                     f"({left} vs {right}); use the step family for jumps")
 
-    def _eval(self, t, order):
+    def _derivative(self, t, order):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
@@ -287,20 +271,14 @@ class PiecewisePolynomial(ScalarFunction):
         return float(out[0]) if scalar else out
 
     def value(self, t):
-        return self._eval(t, 0)
-
-    def nth_derivative(self, t, n):
-        return self._eval(t, n)
+        return self._derivative(t, 0)
 
     def negated(self):
         return PiecewisePolynomial(self.breakpoints, [[-c for c in seg] for seg in self.coefficients])
 
     def to_json(self):
-        return {
-            "family": "piecewise_polynomial",
-            "breakpoints": list(self.breakpoints),
-            "coefficients": [list(seg) for seg in self.coefficients],
-        }
+        return {"family": self.family, "breakpoints": list(self.breakpoints),
+                "coefficients": [list(seg) for seg in self.coefficients]}
 
 
 class Step(ScalarFunction):
@@ -311,34 +289,25 @@ class Step(ScalarFunction):
     """
 
     family = "step"
+    params = ("t_break", "left", "right")
+    linear = ("left", "right")
     is_continuous = False
-    analytic = False
 
-    def __init__(self, t_break, left, right):
-        self.t_break = _as_float(t_break, "step: params[0]")
-        self.left = _as_float(left, "step: params[1]")
-        self.right = _as_float(right, "step: params[2]")
-        self.breakpoints = (self.t_break,)
+    @property
+    def breakpoints(self):
+        return (self.t_break,)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         out = np.where(t <= self.t_break, self.left, self.right)
         return float(out) if out.ndim == 0 else out
 
-    def nth_derivative(self, t, n):
-        if n == 0:
-            return self.value(t)
+    def _derivative(self, t, n):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr == self.t_break):
             raise SmoothnessError(f"step function is not differentiable at its break {self.t_break}")
         out = np.zeros(t_arr.shape)
         return out if out.ndim else 0.0
-
-    def negated(self):
-        return Step(self.t_break, -self.left, -self.right)
-
-    def to_json(self):
-        return {"family": "step", "params": [self.t_break, self.left, self.right]}
 
 
 class Callback(ScalarFunction):
@@ -349,7 +318,6 @@ class Callback(ScalarFunction):
     """
 
     family = "callback"
-    analytic = False
 
     def __init__(self, fn):
         if not callable(fn):
@@ -362,9 +330,7 @@ class Callback(ScalarFunction):
             return float(self.fn(float(t)))
         return np.array([float(self.fn(float(x))) for x in t.ravel()]).reshape(t.shape)
 
-    def nth_derivative(self, t, n):
-        if n == 0:
-            return self.value(t)
+    def _derivative(self, t, n):
         if n > 1:
             raise SmoothnessError("callback functions support first derivatives only")
         t = np.asarray(t, dtype=float)
@@ -380,18 +346,13 @@ class Callback(ScalarFunction):
         raise PreconditionError("callback functions are not serializable")
 
 
-_FAMILY_ARITY = {
-    "constant": (Constant, 1),
-    "affine": (Affine, 2),
-    "sinusoidal": (Sinusoidal, 4),
-    "logistic": (Logistic, 4),
-    "step": (Step, 3),
-}
+# The families serialized as {"family": tag, "params": [...]}.
+_FAMILIES = {cls.family: cls for cls in (Constant, Affine, Sinusoidal, Logistic, Step)}
 
 
 def scalar_from_json(obj):
     """Rebuild a ScalarFunction from its serialized form."""
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return Constant(obj)
     if not isinstance(obj, dict) or "family" not in obj:
         raise PreconditionError(f"coefficient function: expected a family object, got {obj!r}")
@@ -400,20 +361,19 @@ def scalar_from_json(obj):
         if "breakpoints" not in obj or "coefficients" not in obj:
             raise PreconditionError("piecewise_polynomial: needs 'breakpoints' and 'coefficients'")
         return PiecewisePolynomial(obj["breakpoints"], obj["coefficients"])
-    if family not in _FAMILY_ARITY:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise PreconditionError(f"coefficient function: unknown family {family!r}")
-    cls, arity = _FAMILY_ARITY[family]
     params = obj.get("params")
-    if not isinstance(params, (list, tuple)) or len(params) != arity:
-        raise PreconditionError(f"{family}: 'params' must hold exactly {arity} numbers")
-    return cls(*params)
+    if not isinstance(params, list):
+        raise PreconditionError(f"{family}: 'params' must be a list of numbers, got {params!r}")
+    return _FAMILIES[family](*params)
 
 
 def _coerce_scalar(entry, what):
     if isinstance(entry, ScalarFunction):
         return entry
-    if isinstance(entry, (int, float, np.floating, np.integer)):
-        return Constant(float(entry))
+    if _is_number(entry):
+        return Constant(entry)
     raise PreconditionError(f"{what}: expected a ScalarFunction or number, got {type(entry).__name__}")
 
 
@@ -442,22 +402,22 @@ class MatrixFunction:
 
     @classmethod
     def column(cls, entries, what="vector"):
-        return cls([[e] for e in entries], what=what)
+        return cls([[e] for e in _as_list(entries, what)], what=what)
+
+    def _entrywise(self, t, order):
+        """Every entry's ``order``-th derivative (its value for 0) at each t."""
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (self.rows, self.cols))
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                out[..., i, j] = e.nth_derivative(t, order)
+        return out
 
     def eval(self, t):
-        out = np.empty((self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = e.value(t)
-        return out
+        return self._entrywise(t, 0)
 
     def eval_array(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape + (self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[..., i, j] = e.value(ts)
-        return out
+        return self._entrywise(ts, 0)
 
     def eval_vec(self, t):
         if self.cols != 1:
@@ -465,12 +425,7 @@ class MatrixFunction:
         return self.eval(t)[:, 0]
 
     def deriv(self, t, order=1):
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[..., i, j] = e.nth_derivative(t, order)
-        return out
+        return self._entrywise(t, order)
 
     @property
     def is_continuous(self):
@@ -499,37 +454,18 @@ class MatrixFunction:
         return cls([[scalar_from_json(e) for e in row] for row in rows], what=what)
 
 
-class _ShiftedMatrixFunction:
-    """A(offset + rate * s) viewed as a matrix function of s."""
+class _ShiftedMatrixFunction(MatrixFunction):
+    """A(offset + rate * s) viewed as a matrix function of s; shares A's entries."""
 
     def __init__(self, base, offset, rate):
         self.base = base
+        self.entries, self.rows, self.cols = base.entries, base.rows, base.cols
         self.offset = float(offset)
         self.rate = float(rate)
 
-    @property
-    def shape(self):
-        return self.base.shape
-
-    @property
-    def rows(self):
-        return self.base.rows
-
-    @property
-    def cols(self):
-        return self.base.cols
-
-    def _map(self, s):
-        return self.offset + self.rate * np.asarray(s, dtype=float)
-
-    def eval(self, s):
-        return self.base.eval(self._map(s))
-
-    def eval_array(self, ss):
-        return self.base.eval_array(self._map(ss))
-
-    def deriv(self, s, order=1):
-        return self.base.deriv(self._map(s), order) * self.rate**order
+    def _entrywise(self, s, order):
+        t = self.offset + self.rate * np.asarray(s, dtype=float)
+        return super()._entrywise(t, order) * self.rate**order
 
     @property
     def breakpoints(self):
@@ -559,20 +495,11 @@ class _ShiftedMatrixFunction:
             lo, hi = (mid, hi) if image(mid) <= b else (lo, mid)
         return sign * lo
 
-    @property
-    def is_continuous(self):
-        return self.base.is_continuous
-
-    @property
-    def analytic(self):
-        return self.base.analytic
-
-    @property
-    def is_constant(self):
-        return self.base.is_constant
-
     def reparametrized(self, offset, rate):
         return _ShiftedMatrixFunction(self.base, self.offset + self.rate * offset, self.rate * rate)
+
+    def to_json(self):
+        raise PreconditionError("a reparametrized view is not serializable; serialize its base")
 
 
 def sup_norm(matrix, lo, hi, samples=33):
@@ -586,15 +513,13 @@ class StateSpaceModel:
     """Linear state-space model dX = A(t) X dt + C(t) L(dt), Y = B(t)' X."""
 
     def __init__(self, p, A, B, C, levy):
-        p = int(p)
-        if p < 1:
-            raise PreconditionError("p must be a positive integer")
+        p = _as_int(p, "p", 1)
         if not isinstance(A, MatrixFunction):
             A = MatrixFunction(A, what="A")
         if not isinstance(B, MatrixFunction):
-            B = MatrixFunction.column([_coerce_scalar(e, "B") for e in B], what="B")
+            B = MatrixFunction.column(B, what="B")
         if not isinstance(C, MatrixFunction):
-            C = MatrixFunction.column([_coerce_scalar(e, "C") for e in C], what="C")
+            C = MatrixFunction.column(C, what="C")
         if A.shape != (p, p):
             raise PreconditionError(f"A must be {p}x{p}, got {A.shape[0]}x{A.shape[1]}")
         if B.shape != (p, 1):
@@ -603,11 +528,7 @@ class StateSpaceModel:
             raise PreconditionError(f"C must have length {p}, got {C.rows * C.cols}")
         if not isinstance(levy, LevyModel):
             levy = LevyModel.from_json(levy)
-        self.p = p
-        self.A = A
-        self.B = B
-        self.C = C
-        self.levy = levy
+        self.p, self.A, self.B, self.C, self.levy = p, A, B, C, levy
 
     def to_json(self):
         return {
@@ -627,24 +548,18 @@ class CarmaModel:
     """
 
     def __init__(self, p, q, ar, ma, levy):
-        p, q = int(p), int(q)
-        if p < 1:
-            raise PreconditionError("p must be a positive integer")
-        if not (0 <= q < p):
+        p, q = _as_int(p, "p", 1), _as_int(q, "q", 0)
+        if q >= p:
             raise PreconditionError(f"q must satisfy 0 <= q < p, got q={q}, p={p}")
-        ar = [_coerce_scalar(e, "ar") for e in ar]
-        ma = [_coerce_scalar(e, "ma") for e in ma]
+        ar = [_coerce_scalar(e, "ar") for e in _as_list(ar, "ar")]
+        ma = [_coerce_scalar(e, "ma") for e in _as_list(ma, "ma")]
         if len(ar) != p:
             raise PreconditionError(f"ar must hold exactly p={p} coefficients, got {len(ar)}")
         if len(ma) != q + 1:
             raise PreconditionError(f"ma must hold exactly q+1={q + 1} coefficients, got {len(ma)}")
         if not isinstance(levy, LevyModel):
             levy = LevyModel.from_json(levy)
-        self.p = p
-        self.q = q
-        self.ar = ar
-        self.ma = ma
-        self.levy = levy
+        self.p, self.q, self.ar, self.ma, self.levy = p, q, ar, ma, levy
 
     def to_json(self):
         return {
@@ -671,9 +586,7 @@ def companion_from_carma(carma):
     rows.append([carma.ar[p - 1 - j].negated() for j in range(p)])
     B = list(carma.ma) + [Constant(0.0)] * (p - 1 - carma.q)
     C = [Constant(0.0)] * (p - 1) + [Constant(1.0)]
-    return StateSpaceModel(p, MatrixFunction(rows, what="A"),
-                           MatrixFunction.column(B, what="B"),
-                           MatrixFunction.column(C, what="C"), carma.levy)
+    return StateSpaceModel(p, rows, B, C, carma.levy)
 
 
 def model_from_json(obj):
@@ -685,22 +598,16 @@ def model_from_json(obj):
     """
     if not isinstance(obj, dict):
         raise PreconditionError("model: expected a JSON object")
-    if "p" not in obj:
-        raise PreconditionError("model: missing field 'p'")
-    if "levy" not in obj:
-        raise PreconditionError("model: missing field 'levy'")
-    levy = LevyModel.from_json(obj["levy"])
-    if "ar" in obj or "ma" in obj:
-        for field in ("q", "ar", "ma"):
-            if field not in obj:
-                raise PreconditionError(f"model: missing field {field!r}")
-        return CarmaModel(obj["p"], obj["q"],
-                          [scalar_from_json(e) for e in obj["ar"]],
-                          [scalar_from_json(e) for e in obj["ma"]], levy)
-    for field in ("A", "B", "C"):
+    carma = "ar" in obj or "ma" in obj
+    for field in ("p", "levy", *(("q", "ar", "ma") if carma else ("A", "B", "C"))):
         if field not in obj:
             raise PreconditionError(f"model: missing field {field!r}")
-    A = MatrixFunction.from_json(obj["A"], what="A")
-    B = [scalar_from_json(e) for e in obj["B"]]
-    C = [scalar_from_json(e) for e in obj["C"]]
-    return StateSpaceModel(obj["p"], A, B, C, levy)
+    levy = LevyModel.from_json(obj["levy"])
+
+    def vector(field):
+        return [scalar_from_json(e) for e in _as_list(obj[field], field)]
+
+    if carma:
+        return CarmaModel(obj["p"], obj["q"], vector("ar"), vector("ma"), levy)
+    return StateSpaceModel(obj["p"], MatrixFunction.from_json(obj["A"], what="A"),
+                           vector("B"), vector("C"), levy)

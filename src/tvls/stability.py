@@ -161,12 +161,10 @@ def eigen_bound_check(A, window, grid_points=129):
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise PreconditionError("stability window must have positive length")
-    for row in A.entries:
-        for e in row:
-            if e.family == "step":
-                raise SmoothnessError(
-                    "eigen_bound_check requires continuously differentiable "
-                    "coefficients; step entries are not differentiable")
+    if not A.is_continuous:
+        raise SmoothnessError(
+            "eigen_bound_check requires continuously differentiable "
+            "coefficients; step entries are not differentiable")
     # At a kink the derivative is the right-hand one (step entries are out).
     grid = _window_grid(A, lo, hi, grid_points)
     a = A.eval_array(grid)
@@ -293,13 +291,10 @@ def auto_certificate(A, window):
 
 
 def _reject_step_entries(m, what):
-    for mf in (m.A, m.C):
-        for row in mf.entries:
-            for e in row:
-                if e.family == "step":
-                    raise SmoothnessError(
-                        f"{what} requires differentiable coefficients; "
-                        "step entries are discontinuous")
+    if not (m.A.is_continuous and m.C.is_continuous):
+        raise SmoothnessError(
+            f"{what} requires differentiable coefficients; "
+            "step entries are discontinuous")
 
 
 def _controllability_terms(p):

@@ -645,6 +645,39 @@ def test_malformed_model_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err["error"]
 
 
+def _piecewise_a(breakpoints, coefficients):
+    return [[{"family": "piecewise_polynomial", "breakpoints": breakpoints,
+              "coefficients": coefficients}]]
+
+
+# Each malformed model file, with the field that its error must name.
+MALFORMED_MODELS = {
+    "B_not_a_list": ({**CAR1, "B": 5}, "B"),
+    "ar_not_a_list": ({**CARMA21, "ar": 1}, "ar"),
+    "breakpoints_a_number": ({**CAR1, "A": _piecewise_a(0.5, [[-1.0], [-1.0]])}, "breakpoints"),
+    "coefficients_flat": ({**CAR1, "A": _piecewise_a([], [1.0, 2.0])}, "coefficients"),
+    "brownian_variance_a_string": ({**CAR1, "levy": {"brownian_variance": "x"}}, "brownian_variance"),
+    "brownian_variance_null": ({**CAR1, "levy": {"brownian_variance": None}}, "brownian_variance"),
+    "p_a_string": ({**CAR1, "p": "x"}, "p"),
+    "q_a_string": ({**CARMA21, "q": "x"}, "q"),
+    "p_not_an_integer": ({**CAR1, "p": 1.5}, "p"),
+    "params_holds_true": ({**CAR1, "A": [[{"family": "affine", "params": [-1.0, True]}]]}, "params[1]"),
+    "params_holds_a_string": ({**CAR1, "A": [[{"family": "constant", "params": ["-6"]}]]}, "params[0]"),
+}
+
+
+@pytest.mark.parametrize("model, field", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_model_field_exits_2(tmp_path, capsys, model, field):
+    code = dispatch(["stability", "--model", write_model(tmp_path, "bad.json", model),
+                     "--window", "0,1"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "PreconditionError"
+    assert field in err["error"]
+
+
 def test_bad_n_value_names_the_field(car1_file, capsys):
     code = dispatch(["kernel", "--model", car1_file, "--t", "0",
                      "--N", "soon", "--umax", "2"])

@@ -26,8 +26,14 @@ from tvls import (
     ode_transition,
     scalar_from_json,
 )
-from tvls.model import sup_norm
+from tvls.model import _FAMILIES, sup_norm
 from tvls.quadrature import _right_limit
+
+
+def registry_members():
+    """One member of every family in the JSON registry, so that a new family
+    is covered without editing the tests that iterate over these."""
+    return [cls(*(0.3 + 0.4 * i for i in range(len(cls.params)))) for cls in _FAMILIES.values()]
 
 
 def central_diff(f, t, n, h=1e-5):
@@ -156,12 +162,18 @@ def test_negation_closure():
         Logistic(0.2, 1.5, 2.0, 0.5),
         PiecewisePolynomial([0.0], [[1.0], [1.0, 2.0]]),
         Step(0.0, -1.0, 1.0),
+        *registry_members(),
     ]
     for f in funcs:
         g = f.negated()
         assert type(g) is type(f)
         for t in (-0.7, 0.0, 1.3):
             assert g.value(t) == pytest.approx(-f.value(t), abs=1e-14)
+    for f in registry_members():  # negation flips exactly the linear parameters
+        g = f.negated()
+        for name in f.params:
+            sign = -1.0 if name in f.linear else 1.0
+            assert getattr(g, name) == sign * getattr(f, name)
 
 
 def test_family_parameter_validation():
@@ -171,6 +183,14 @@ def test_family_parameter_validation():
         Affine(1.0, float("inf"))
     with pytest.raises(PreconditionError):
         Sinusoidal(0.0, "x", 1.0, 0.0)
+    with pytest.raises(PreconditionError):
+        Constant(True)  # a bool is not a number
+    with pytest.raises(PreconditionError):
+        Constant("-6")  # nor is a numeric string
+    for cls in _FAMILIES.values():  # a wrong number of values, e.g. Affine(1.0)
+        for arity in (len(cls.params) - 1, len(cls.params) + 1):
+            with pytest.raises(PreconditionError, match="params must hold exactly"):
+                cls(*[1.0] * arity)
 
 
 # ------------------------------------------------------------ serialization
@@ -184,6 +204,7 @@ def test_scalar_json_round_trips():
         Logistic(0.2, 1.5, 2.0, 0.5),
         PiecewisePolynomial([0.0, 1.0], [[1.0], [1.0, 2.0], [3.0]]),
         Step(0.25, -1.0, 1.0),
+        *registry_members(),
     ]
     for f in funcs:
         g = scalar_from_json(f.to_json())
@@ -208,6 +229,12 @@ def test_scalar_json_errors():
         scalar_from_json([1.0])
     with pytest.raises(PreconditionError):
         scalar_from_json({"family": "piecewise_polynomial", "params": [1.0]})
+    with pytest.raises(PreconditionError):
+        scalar_from_json(True)  # JSON true is not the number 1
+    with pytest.raises(PreconditionError):
+        scalar_from_json({"family": "affine", "params": [1.0, "2"]})
+    with pytest.raises(PreconditionError):
+        scalar_from_json({"family": ["affine"], "params": [1.0, 2.0]})
 
 
 # ----------------------------------------------------------- MatrixFunction
