@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridMismatchError, PreconditionError, TailMassWarning
 from .model import sup_norm
-from .quadrature import _grid_steps, _partition, cumulative_simpson, trapezoid
+from .quadrature import _check_grid_budget, _grid_steps, _partition, cumulative_simpson, trapezoid
 from .transition import _resolve_route, _rk4_panels, _rk4_run, matrix_exp
 
 __all__ = [
@@ -188,7 +188,9 @@ def _finite_grid_values(m, N, t, u_grid, route):
     # over s in [-u_{j+1}, -u_j].
     n_panels = len(u_grid) - 1
     norm = max(1.0, sup_norm(m.A, args[-1], t))
-    n_sub = max(1, int(np.ceil(du * norm / 0.05)))
+    subs = np.ceil(du * norm / 0.05)
+    _check_grid_budget(2 * subs * n_panels + 1, "kernel_grid RK4 stages")
+    n_sub = max(1, int(subs))
     stage = np.linspace(-u_grid[-1], 0.0, 2 * n_sub * n_panels + 1)
     a_stage = m.A.eval_array(t + (1.0 / N) * stage)
     # Panel i of the stage grid spans nodes 2 n_sub i .. 2 n_sub (i + 1);

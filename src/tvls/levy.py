@@ -7,6 +7,7 @@ of the unit-time increment).  Paths are driven by ``simulate_paths``, which
 draws each step's increment of this noise.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError, _as_float
@@ -41,11 +42,15 @@ class LevyModel:
             if val < 0:
                 raise PreconditionError(f"levy: {name} must be >= 0, got {val!r}")
             object.__setattr__(self, name, val)
-        object.__setattr__(
-            self,
-            "sigma_l",
-            float(self.brownian_variance + self.jump_intensity * self.jump_std**2),
-        )
+        try:
+            sigma_l = float(self.brownian_variance + self.jump_intensity * self.jump_std**2)
+        except OverflowError:
+            sigma_l = math.inf
+        if not math.isfinite(sigma_l):
+            raise PreconditionError(
+                "levy: total variance brownian_variance + jump_intensity * jump_std**2 "
+                "overflows a float")
+        object.__setattr__(self, "sigma_l", sigma_l)
 
     def to_json(self):
         return {

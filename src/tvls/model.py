@@ -2,7 +2,7 @@
 
 Scalar coefficient functions come from a small set of parametric families
 (constant, affine, sinusoidal, logistic, piecewise polynomial, step) that
-are closed under negation, carry analytic derivatives where they exist,
+are closed under negation, carry closed-form derivatives where they exist,
 and serialize to JSON.  Matrices of such functions define linear
 state-space models
 
@@ -65,9 +65,6 @@ class ScalarFunction:
         The parameters that negation flips; it keeps the others.
     is_continuous : bool
         False only for the step family.
-    analytic : bool
-        True when derivatives of every order exist at every t (constant,
-        affine, sinusoidal, logistic).
     breakpoints : tuple of float
         Points where the function or its derivatives may jump.
     """
@@ -76,7 +73,6 @@ class ScalarFunction:
     params = ()
     linear = ()
     is_continuous = True
-    analytic = False
     breakpoints = ()
 
     def __init__(self, *values):
@@ -128,7 +124,6 @@ def _as_int(x, what, lo):
 class Constant(ScalarFunction):
     family = "constant"
     params = linear = ("c",)
-    analytic = True
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -146,7 +141,6 @@ class Affine(ScalarFunction):
 
     family = "affine"
     params = linear = ("a", "b")
-    analytic = True
 
     def value(self, t):
         return self.a + self.b * np.asarray(t, dtype=float)
@@ -163,7 +157,6 @@ class Sinusoidal(ScalarFunction):
     family = "sinusoidal"
     params = ("a0", "a1", "omega", "phi")
     linear = ("a0", "a1")
-    analytic = True
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -189,7 +182,6 @@ class Logistic(ScalarFunction):
     family = "logistic"
     params = ("a0", "a1", "rate", "center")
     linear = ("a0", "a1")
-    analytic = True
 
     # Derivatives of the sigmoid s satisfy s^(n) = rate^n P_n(s) with
     # P_1(u) = u - u^2 and P_{n+1} = P_n' * (u - u^2); ascending coeffs.
@@ -430,10 +422,6 @@ class MatrixFunction:
     @property
     def is_continuous(self):
         return all(e.is_continuous for row in self.entries for e in row)
-
-    @property
-    def analytic(self):
-        return all(e.analytic for row in self.entries for e in row)
 
     @property
     def is_constant(self):

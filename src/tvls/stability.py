@@ -297,62 +297,51 @@ def _reject_step_entries(m, what):
             "step entries are discontinuous")
 
 
-def _controllability_terms(p):
-    """Symbolic columns K_0..K_{p-1} of the controllability recursion.
+def _leibniz_step(jet, a_jet, product):
+    """Jet of J' + product(A, J) from the jets of J and A, one order shorter
+    than J's: its n-th entry is J^(n+1) + sum_k C(n, k) product(A^(k), J^(n-k))."""
+    nxt = []
+    for n in range(len(jet) - 1):
+        s = jet[n + 1].copy()
+        for k in range(n + 1):
+            s += comb(n, k) * product(a_jet[k], jet[n - k])
+        nxt.append(s)
+    return nxt
 
-    Each column is a sum of terms coeff * A^(o1) ... A^(ok) C^(c), encoded
-    as {(a_orders, c_order): coeff}, built from K_0 = C and
-    K_{i+1} = -A K_i + dK_i/dt.
+
+def _k_jets(m, t, order):
+    """Derivative jets of the controllability columns, and the A jet they read.
+
+    The columns follow K_0 = C, K_{i+1} = -A K_i + K_i'.  Returns ``(k_jets,
+    a_jet)`` with ``k_jets[i][n]`` the n-th derivative of K_i, for n <= order
+    + p - 1 - i, and ``a_jet[k]`` the k-th derivative of A, for k <= order +
+    p - 2, each a stack over the shape of t.  The families are asked for
+    only those orders; one without them raises SmoothnessError.  At a
+    breakpoint the derivatives are the right-hand ones.
     """
-    cols = [{((), 0): 1.0}]
+    p = m.p
+    a_jet = [m.A.deriv(t, k) for k in range(order + p - 1)]
+    k_jets = [[m.C.deriv(t, n) for n in range(order + p)]]
     for _ in range(p - 1):
-        prev = cols[-1]
-        nxt = {}
-        for (aord, cord), coeff in prev.items():
-            key = ((0,) + aord, cord)
-            nxt[key] = nxt.get(key, 0.0) - coeff
-            for j in range(len(aord)):
-                dkey = (aord[:j] + (aord[j] + 1,) + aord[j + 1:], cord)
-                nxt[dkey] = nxt.get(dkey, 0.0) + coeff
-            dkey = (aord, cord + 1)
-            nxt[dkey] = nxt.get(dkey, 0.0) + coeff
-        cols.append({k: v for k, v in nxt.items() if v != 0.0})
-    return cols
+        k_jets.append(_leibniz_step(k_jets[-1], a_jet, lambda a, col: -(a @ col)))
+    return k_jets, a_jet
+
+
+def _columns(k_jets, n):
+    """[K_0^(n) ... K_{p-1}^(n)], stacked over the shape of t."""
+    return np.concatenate([k[n] for k in k_jets], axis=-1)
 
 
 def controllability_matrix(m, t):
     """Instantaneous controllability matrix [K_0(t) ... K_{p-1}(t)].
 
     The columns follow the recursion K_0 = C, K_{i+1} = -A K_i + K_i',
-    evaluated through exact derivative algebra on the coefficient families
+    evaluated through exact derivatives of the coefficient families
     (families without the required derivatives raise SmoothnessError).
+    A t of any shape gives a stack of matrices of that shape.
     """
     _reject_step_entries(m, "controllability_matrix")
-    p = m.p
-    t = float(t)
-    a_cache, c_cache = {}, {}
-
-    def a_of(order):
-        if order not in a_cache:
-            a_cache[order] = m.A.eval(t) if order == 0 else m.A.deriv(t, order)
-        return a_cache[order]
-
-    def c_of(order):
-        if order not in c_cache:
-            mat = m.C.eval(t) if order == 0 else m.C.deriv(t, order)
-            c_cache[order] = mat.reshape(p)
-        return c_cache[order]
-
-    cols = []
-    for terms in _controllability_terms(p):
-        col = np.zeros(p)
-        for (aord, cord), coeff in terms.items():
-            v = c_of(cord)
-            for o in reversed(aord):
-                v = a_of(o) @ v
-            col += coeff * v
-        cols.append(col)
-    return np.column_stack(cols)
+    return _columns(_k_jets(m, t, 0)[0], 0)
 
 
 @dataclass
@@ -372,20 +361,12 @@ def instantaneous_controllability(m, t_grid):
     means the smallest singular value is resolvably nonzero at double
     precision rather than merely unequal to zero.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    ranks, mins = [], []
-    for t in t_grid:
-        W = controllability_matrix(m, t)
-        svals = np.linalg.svd(W, compute_uv=False)
-        thresh = m.p * svals[0] * 1e-10 if svals[0] > 0 else 0.0
-        ranks.append(int((svals > thresh).sum()))
-        mins.append(float(svals[-1]))
-    return ControllabilityReport(t_grid=t_grid, ranks=ranks, min_singular=mins,
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    svals = np.linalg.svd(controllability_matrix(m, t_grid), compute_uv=False)
+    ranks = (svals > m.p * svals[..., :1] * 1e-10).sum(axis=-1).tolist()
+    return ControllabilityReport(t_grid=t_grid, ranks=ranks,
+                                 min_singular=svals[..., -1].tolist(),
                                  full_rank=all(r == m.p for r in ranks))
-
-
-def _jet_of(mf, t, order):
-    return [mf.eval(t)] + [mf.deriv(t, n) for n in range(1, order + 1)]
 
 
 def _jet_inverse(w_jet, order):
@@ -402,45 +383,23 @@ def _jet_inverse(w_jet, order):
 def _tau_rows_jets(m, t):
     """Rows of T and dT/dt via derivative jets of the coefficient families."""
     p = m.p
-    top = 2 * p
-    a_jet = _jet_of(m.A, t, top)
-    k_jets = [_jet_of(m.C, t, top)]
-    for i in range(1, p):
-        prev = k_jets[-1]
-        avail = top - i
-        cur = []
-        for mth in range(avail + 1):
-            s = prev[mth + 1].copy()
-            for k in range(mth + 1):
-                s -= comb(mth, k) * (a_jet[k] @ prev[mth - k])
-            cur.append(s)
-        k_jets.append(cur)
-    w_order = p
-    w_jet = [np.column_stack([k_jets[i][mth].reshape(p) for i in range(p)])
-             for mth in range(w_order + 1)]
-    z_jet = _jet_inverse(w_jet, w_order)
+    k_jets, a_jet = _k_jets(m, t, p)
+    z_jet = _jet_inverse([_columns(k_jets, n) for n in range(p + 1)], p)
     sign = (-1.0) ** (p - 1)
     tau = [sign * z[-1:, :] for z in z_jet]  # e_p' W^{-1} and its derivatives
     rows, drows = [tau[0]], [tau[1]]
-    for _ in range(p - 1):
-        avail = len(tau) - 2
-        nxt = []
-        for mth in range(avail + 1):
-            s = tau[mth + 1].copy()
-            for k in range(mth + 1):
-                s += comb(mth, k) * (tau[mth - k] @ a_jet[k])
-            nxt.append(s)
-        tau = nxt
+    for _ in range(p - 1):  # tau_{i+1}' = tau_i' A + dtau_i'/dt
+        tau = _leibniz_step(tau, a_jet, lambda a, row: row @ a)
         rows.append(tau[0])
         drows.append(tau[1])
     return np.vstack(rows), np.vstack(drows)
 
 
 def _tau_rows_numeric(m, t):
-    """Rows of T and dT/dt via nested central differences (non-analytic case)."""
+    """Rows of T and dT/dt via nested central differences, for families (a
+    callback) that stop short of the derivative orders the jets need."""
     p = m.p
-    ep = np.zeros(p)
-    ep[-1] = 1.0
+    ep = np.eye(p)[-1]
     sign = (-1.0) ** (p - 1)
 
     def tau_row(i, tt):
@@ -483,16 +442,19 @@ def carma_transform(m, t):
     (T A + T') T^{-1} is companion; both are verified numerically, the first
     to 1e-8 and the second to 1e-6 before the exact companion projection.
     The observation vector becomes T^{-T} B.
+
+    T and T' come from derivative jets (``method == "jets"``), right-hand
+    ones at breakpoints, or from nested central differences when a family (a
+    callback) stops short of the orders needed (``"finite-difference"``).
     """
     _reject_step_entries(m, "carma_transform")
     p = m.p
     t = float(t)
-    analytic = m.A.analytic and m.C.analytic
     try:
-        if analytic:
+        try:
             T, T_dot = _tau_rows_jets(m, t)
             method = "jets"
-        else:
+        except SmoothnessError:
             T, T_dot = _tau_rows_numeric(m, t)
             method = "finite-difference"
     except np.linalg.LinAlgError:
@@ -501,18 +463,13 @@ def carma_transform(m, t):
             "instantaneously controllable there") from None
     c_vec = m.C.eval(t).reshape(p)
     noise = T @ c_vec
-    ep = np.zeros(p)
-    ep[-1] = 1.0
-    residual_noise = float(np.abs(noise - ep).max())
+    residual_noise = float(np.abs(noise - np.eye(p)[-1]).max())
     if residual_noise > 1e-8:
         raise PostconditionError(
             f"transformed noise loading deviates from e_p by {residual_noise:.3e}; "
             "the model is too close to uncontrollable at this time")
     drift = (T @ m.A.eval(t) + T_dot) @ np.linalg.inv(T)
-    companion_top = np.eye(p, k=1)[: p - 1]
-    residual_companion = 0.0
-    if p > 1:
-        residual_companion = float(np.abs(drift[: p - 1] - companion_top).max())
+    residual_companion = float(np.abs(drift[: p - 1] - np.eye(p, k=1)[: p - 1]).max(initial=0.0))
     if residual_companion >= 1e-6:
         raise PostconditionError(
             f"transformed drift deviates from companion form by {residual_companion:.3e}")
@@ -544,10 +501,13 @@ class EquivalenceReport:
 
 
 def _frozen_transfer(m, t, z):
+    """B(t)'(zI - A(t))^{-1} C(t) at each of the points ``z``, of any shape."""
+    z = np.asarray(z)
     A0 = m.A.eval(t)
     b = m.B.eval(t).reshape(m.p)
-    c = m.C.eval(t).reshape(m.p)
-    return b @ np.linalg.solve(z * np.eye(m.p) - A0, c)
+    c = np.broadcast_to(m.C.eval(t), z.shape + (m.p, 1))
+    x = np.linalg.solve(z[..., None, None] * np.eye(m.p) - A0, c)
+    return x[..., 0] @ b
 
 
 def transfer_equivalence(m1, m2, t, z_samples=None):
@@ -559,32 +519,25 @@ def transfer_equivalence(m1, m2, t, z_samples=None):
     remaining points.
     """
     t = float(t)
-    e1 = np.linalg.eigvals(m1.A.eval(t))
-    e2 = np.linalg.eigvals(m2.A.eval(t))
+    e1, e2 = (np.linalg.eigvals(m.A.eval(t)) for m in (m1, m2))
     if z_samples is None:
         rad = 1.0 + 2.0 * max(1.0, np.abs(e1).max(), np.abs(e2).max())
         z_samples = rad * np.exp(2j * np.pi * np.arange(24) / 24)
     z_samples = np.asarray(z_samples, dtype=complex).ravel()
     spectra = np.concatenate([e1, e2])
-    max_rel = 0.0
-    used = skipped = 0
-    for z in z_samples:
-        if np.abs(z - spectra).min() < 1e-6:
-            skipped += 1
-            continue
-        h1 = _frozen_transfer(m1, t, z)
-        h2 = _frozen_transfer(m2, t, z)
-        denom = max(abs(h1), abs(h2), 1e-300)
-        max_rel = max(max_rel, abs(h1 - h2) / denom)
-        used += 1
-    note = f"{skipped} sample(s) skipped near frozen spectra" if skipped else ""
-    if used == 0:
+    near = np.abs(z_samples[:, None] - spectra).min(axis=1) < 1e-6
+    z, skipped = z_samples[~near], int(near.sum())
+    if not len(z):
         return EquivalenceReport(equivalent=False, max_rel_error=np.inf,
                                  n_used=0, n_skipped=skipped,
                                  note="all samples fell on the frozen spectra")
-    return EquivalenceReport(equivalent=bool(max_rel < 1e-8),
-                             max_rel_error=float(max_rel),
-                             n_used=used, n_skipped=skipped, note=note)
+    h1, h2 = _frozen_transfer(m1, t, z), _frozen_transfer(m2, t, z)
+    # hypot rounds as abs() of one complex number; np.abs of an array may not
+    a1, a2, gap = (np.hypot(h.real, h.imag) for h in (h1, h2, h1 - h2))
+    max_rel = float((gap / np.maximum(np.maximum(a1, a2), 1e-300)).max())
+    note = f"{skipped} sample(s) skipped near frozen spectra" if skipped else ""
+    return EquivalenceReport(equivalent=bool(max_rel < 1e-8), max_rel_error=max_rel,
+                             n_used=len(z), n_skipped=skipped, note=note)
 
 
 # Worked two-state example: a diagonal state-space model and its companion

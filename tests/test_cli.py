@@ -186,6 +186,13 @@ DRIFTING = {
     # 600 paths x 3 times x 2 states
     (DRIFTING, ["simulate", "--N", "1", "--t0", "0", "--t1", "1", "--dt", "0.5",
                 "--burn-in", "1", "--paths", "600"], "simulate_paths outputs"),
+    # ||A|| near 60: 7 RK4 substeps on each of 200 lag panels
+    ({**DRIFTING, "A": [[0.0, 1.0], [{"family": "affine", "params": [-60.0, -1.0]}, -5.0]]},
+     ["kernel", "--N", "4", "--t", "0.5", "--umax", "1"], "kernel_grid RK4 stages"),
+    # the sup norm of A overflows to inf
+    pytest.param({**DRIFTING, "A": [[0.0, 1.0], [-1e200, -5.0]]},
+                 ["kernel", "--N", "4", "--t", "0.5", "--umax", "1"], "kernel_grid RK4 stages",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
 ])
 def test_step_node_and_path_budgets_exit_2(tmp_path, monkeypatch, capsys, model, args, what):
     # A small budget keeps both this test and a regression of it cheap.
@@ -663,6 +670,8 @@ MALFORMED_MODELS = {
     "p_not_an_integer": ({**CAR1, "p": 1.5}, "p"),
     "params_holds_true": ({**CAR1, "A": [[{"family": "affine", "params": [-1.0, True]}]]}, "params[1]"),
     "params_holds_a_string": ({**CAR1, "A": [[{"family": "constant", "params": ["-6"]}]]}, "params[0]"),
+    "levy_variance_overflows": ({**CAR1, "levy": {"brownian_variance": 1e308, "jump_intensity": 1e308,
+                                                  "jump_std": 1e300}}, "levy"),
 }
 
 

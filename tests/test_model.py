@@ -53,7 +53,7 @@ def test_constant_family():
     assert f.nth_derivative(0.0, 1) == 0.0
     assert f.nth_derivative(1.0, 7) == 0.0
     assert np.array_equal(f.value(np.zeros(3)), 2.5 * np.ones(3))
-    assert f.analytic and f.is_continuous and f.breakpoints == ()
+    assert f.is_continuous and f.breakpoints == ()
 
 
 def test_affine_family():
@@ -106,7 +106,6 @@ def test_piecewise_polynomial():
     # derivative at the breakpoint comes from the right-hand segment
     assert f.nth_derivative(1.0, 1) == pytest.approx(2.0)
     assert f.nth_derivative(2.0, 2) == pytest.approx(0.0)
-    assert not f.analytic
     assert f.breakpoints == (1.0,)
     vals = f.value(np.array([0.5, 1.0, 1.5]))
     assert np.allclose(vals, [0.5, 1.0, 2.0])
@@ -257,7 +256,7 @@ def test_matrix_function_eval():
 
 def test_matrix_function_flags_and_helpers():
     m = MatrixFunction.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert m.is_constant and m.analytic and m.is_continuous
+    assert m.is_constant and m.is_continuous
 
     col = MatrixFunction.column([Constant(1.0), Constant(2.0)])
     assert col.shape == (2, 1)
@@ -268,7 +267,6 @@ def test_matrix_function_flags_and_helpers():
     stepped = MatrixFunction([[Step(1.0, 0.0, 1.0), Step(2.0, 0.0, 1.0)]])
     assert stepped.breakpoints == (1.0, 2.0)
     assert not stepped.is_continuous
-    assert not stepped.analytic
 
     with pytest.raises(PreconditionError):
         MatrixFunction([[Constant(1.0)], [Constant(1.0), Constant(2.0)]])

@@ -9,6 +9,7 @@ from tvls import (
     Callback,
     Constant,
     MatrixFunction,
+    PiecewisePolynomial,
     PreconditionError,
     Sinusoidal,
     SmoothnessError,
@@ -34,6 +35,7 @@ from tvls.stability import (
     BREAK_STATE_A,
     BREAK_STATE_NOISE,
     BREAK_STATE_OBS,
+    _frozen_transfer,
 )
 
 
@@ -325,7 +327,7 @@ def test_controllability_time_varying_matches_finite_differences():
 
 
 def test_controllability_depth_three():
-    # p = 3 exercises second derivatives in the term algebra
+    # p = 3 exercises second derivatives in the jet recursion
     a = Sinusoidal(1.0, 0.25, 1.0, 0.0)
     A = MatrixFunction([[a.negated(), 1.0, 0.0],
                         [0.0, -2.0, 1.0],
@@ -344,6 +346,12 @@ def test_controllability_depth_three():
     W_exact = controllability_matrix(m, 0.4)
     W_num = np.column_stack([k_col(i, 0.4) for i in range(3)])
     assert np.abs(W_exact - W_num).max() < 1e-5
+    # one stacked call over a grid gives each time's matrix, to rounding
+    grid = np.linspace(-1.0, 2.0, 33).reshape(3, 11)
+    stacked = controllability_matrix(m, grid)
+    assert stacked.shape == (3, 11, 3, 3)
+    looped = np.array([controllability_matrix(m, t) for t in grid.ravel()])
+    assert np.allclose(stacked.reshape(looped.shape), looped, rtol=1e-14, atol=1e-14)
 
 
 def test_controllability_rank_deficient():
@@ -416,6 +424,23 @@ def test_carma_transform_jets_vs_finite_differences():
     assert r_jet.residual_companion < 1e-8
 
 
+def test_carma_transform_jets_at_kinks():
+    # a = -1 - t up to t = 0.5 and -3t after.  Central differences that
+    # straddle the kink give a wrong T_dot while the companion residual stays
+    # at 1e-16, so only a check against T itself shows it.  The jets take the
+    # right-hand derivatives: T_dot matches a forward difference of T on
+    # either side and at the kink itself.
+    a = PiecewisePolynomial([0.5], [[-1.0, -1.0], [0.0, -3.0]])
+    A = MatrixFunction([[a, 1.0], [0.0, -2.0]], what="A")
+    m = StateSpaceModel(2, A, [1.0, 0.0], [1.0, 1.0], {"brownian_variance": 1.0})
+    h = 1e-6
+    for t in (0.3, 0.5, 0.7):
+        res = carma_transform(m, t)
+        assert res.method == "jets"
+        forward = (carma_transform(m, t + h).T - res.T) / h
+        assert np.abs(res.T_dot - forward).max() < 1e-3
+
+
 def test_carma_transform_round_trip_transfer(diag_fixture):
     # companion realization built from the transform output is
     # observationally equivalent to the original model
@@ -446,20 +471,29 @@ def test_carma_transform_rejects_steps():
 
 def test_carma_transform_scalar():
     a = Sinusoidal(1.0, 0.25, 1.0, 0.0)
-    A = MatrixFunction([[a.negated()]], what="A")
-    m = StateSpaceModel(1, A, [2.0], [0.5], {"brownian_variance": 1.0})
-    res = carma_transform(m, 0.3)
-    # p = 1: T = 1/C, drift is the scalar coefficient itself
-    assert res.T[0, 0] == pytest.approx(2.0)
-    assert res.noise[0] == pytest.approx(1.0)
-    assert res.ar[0] == pytest.approx(a.value(0.3), abs=1e-10)
-    assert res.observation[0] == pytest.approx(1.0)  # B / T
+    # p = 1 needs no derivative of A and only C', which a callback supplies,
+    # so the callback model takes the jet route too
+    for A, C in ((a.negated(), 0.5), (Callback(a.negated().value), Callback(lambda t: 0.5))):
+        m = StateSpaceModel(1, MatrixFunction([[A]], what="A"), [2.0],
+                            MatrixFunction.column([C]), {"brownian_variance": 1.0})
+        res = carma_transform(m, 0.3)
+        assert res.method == "jets"
+        # p = 1: T = 1/C, drift is the scalar coefficient itself
+        assert res.T[0, 0] == pytest.approx(2.0)
+        assert res.T_dot[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert res.noise[0] == pytest.approx(1.0)
+        assert res.ar[0] == pytest.approx(a.value(0.3), abs=1e-10)
+        assert res.observation[0] == pytest.approx(1.0)  # B / T
 
 
 # ------------------------------------------------------ transfer equivalence
 
 
 def test_transfer_equivalence_fixtures(diag_fixture, companion_fixture):
+    # the stacked resolvent gives each sample point's value, to rounding
+    z = np.linspace(-4.0, 4.0, 12).reshape(3, 4) + 0.5j
+    looped = np.array([_frozen_transfer(diag_fixture, 0.3, x) for x in z.ravel()])
+    assert np.allclose(_frozen_transfer(diag_fixture, 0.3, z).ravel(), looped, rtol=1e-14, atol=0.0)
     report = transfer_equivalence(diag_fixture, companion_fixture, 0.0)
     assert report.equivalent
     assert report.max_rel_error < 1e-12
